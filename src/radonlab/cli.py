@@ -232,13 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out-dir", default=None, help="output directory "
                     "(default: $RADONLAB_OUT or the working directory)")
     ap.add_argument("--seed", type=int, default=2024)
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
     # the common flags are accepted before or after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("csv", "json"),
-                        default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gauss-scan", parents=[common],

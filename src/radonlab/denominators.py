@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, PreconditionError
-from .expsums import RationalPoint
+from .expsums import RationalPoint, factorize
 
 DEFAULT_MEMBER_CAP = 2_000_000
 
@@ -58,39 +58,31 @@ def prime_window(N: int, rho: float) -> list[int]:
     return out
 
 
+def _top_prime_powers(N: int, skip=frozenset()) -> list[tuple[int, int]]:
+    """(p, e) with p^e the largest power of p at most N, for the primes
+    p <= N outside ``skip``."""
+    out = []
+    for p in primes_up_to(N):
+        if p in skip:
+            continue
+        e, pe = 1, p
+        while pe * p <= N:
+            e, pe = e + 1, pe * p
+        out.append((p, e))
+    return out
+
+
 def lcm_first_n(N: int) -> int:
     """lcm(1, ..., N) as the exact product of maximal prime powers <= N."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    out = 1
-    for p in primes_up_to(N):
-        pe = p
-        while pe * p <= N:
-            pe *= p
-        out *= pe
-    return out
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    return math.prod(p ** e for p, e in _top_prime_powers(N))
 
 
 def jordan_totient(q: int, d: int) -> int:
     """Count of a in {1..q}^d with gcd(q, a_1, ..., a_d) = 1."""
     out = q ** d
-    for p, _ in _factorize(q):
+    for p, _ in factorize(q):
         out = out // p ** d * (p ** d - 1)
     return out if q > 1 else 1
 
@@ -202,38 +194,20 @@ def build_denominator_set(N: int, rho: float,
     """Construct the denominator set at resolution N.
 
     The three structural properties (contains 1..N, bounded above by
-    max(N, e^(N^rho)), lcm equal to lcm(1..N)) are asserted at build time.
+    max(N, e^(N^rho)), lcm equal to lcm(1..N)) are checked at build time.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
     cfg = DenominatorConfig.for_rho(rho)
     window = tuple(prime_window(N, rho))
-    window_set = set(window)
-
-    # Q0 = lcm of numbers <= N with no prime factor in the window
-    Q0 = 1
-    for p in primes_up_to(N):
-        if p in window_set:
-            continue
-        pe = p
-        while pe * p <= N:
-            pe *= p
-        Q0 *= pe
+    # Q0 = lcm of the numbers <= N with no prime factor in the window
+    fact = _top_prime_powers(N, set(window))
+    Q0 = math.prod(p ** e for p, e in fact)
 
     if N < cfg.small_cutoff:
         members = tuple(range(1, N + 1))
         ds = DenominatorSet(N, cfg, "small", Q0, window, (), members, {})
     else:
-        fact = []
-        for p in primes_up_to(N):
-            if p in window_set:
-                continue
-            e = 0
-            pe = p
-            while pe <= N:
-                e += 1
-                pe *= p
-            fact.append((p, e))
         n_divisors = math.prod(e + 1 for _, e in fact)
         smooth = [1]
         for n in range(2, N + 1):
@@ -255,12 +229,15 @@ def build_denominator_set(N: int, rho: float,
         ds = DenominatorSet(N, cfg, "product", Q0, window, tuple(smooth),
                             members, witness)
 
-    # structural assertions
+    # structural checks
     mset = ds.member_set()
-    assert all(n in mset for n in range(1, N + 1)), "1..N not contained"
+    if not all(n in mset for n in range(1, N + 1)):
+        raise AssertionError("1..N not contained")
     bound_log = max(math.log(N), float(N) ** rho)
-    assert math.log(ds.max_member()) <= bound_log + 1e-9, "member exceeds bound"
-    assert ds.lcm() == lcm_first_n(N), "lcm identity violated"
+    if not math.log(ds.max_member()) <= bound_log + 1e-9:
+        raise AssertionError("member exceeds bound")
+    if ds.lcm() != lcm_first_n(N):
+        raise AssertionError("lcm identity violated")
     return ds
 
 
@@ -276,7 +253,8 @@ def reduced_residues(q: int, d: int, cap: int = 10 ** 7) -> list[tuple[int, ...]
     if q ** d > cap:
         raise BudgetError("residue enumeration cap", q ** d, cap)
     out = [a for a in product(range(1, q + 1), repeat=d) if math.gcd(q, *a) == 1]
-    assert len(out) == jordan_totient(q, d)
+    if len(out) != jordan_totient(q, d):
+        raise AssertionError("residue count differs from the Jordan totient")
     return out
 
 
@@ -370,7 +348,7 @@ class CoprimePowerPart:
         union = []
         for S in self.factors:
             for s in S:
-                fact = _factorize(s)
+                fact = factorize(s)
                 if len(fact) != 1 or fact[0][1] > max_exponent:
                     raise AssertionError(f"{s} is not an admissible prime power")
             union.extend(S)
@@ -381,10 +359,10 @@ class CoprimePowerPart:
         prime_to_slot = {}
         for j, S in enumerate(self.factors):
             for s in S:
-                prime_to_slot[_factorize(s)[0][0]] = j
+                prime_to_slot[factorize(s)[0][0]] = j
         for m in self.members:
             slots = set()
-            for p, e in _factorize(m):
+            for p, e in factorize(m):
                 pe = p ** e
                 j = prime_to_slot.get(p)
                 if j is None or pe not in self.factors[j]:

@@ -31,8 +31,21 @@ def unit_phase(x: float) -> complex:
     return cmath.exp(2j * math.pi * x)
 
 
-def _phase_of_fraction(fr: Fraction) -> complex:
-    return unit_phase(float(fr % 1))
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as (p, e) pairs, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,6 @@ class IntegerPolynomial:
     def is_integer_valued(self) -> bool:
         return all(c.denominator == 1 for _, c in self.coeffs)
 
-    def as_coeff_dict(self) -> dict:
-        return {g: c for g, c in self.coeffs}
-
 
 # ---------------------------------------------------------------------------
 # Gauss sums
@@ -206,19 +216,8 @@ def _gauss_max_over_numerators(q: int, gammas: MultiIndexSet) -> tuple[float, tu
     spec = np.abs(np.fft.fftn(table))
     # mask numerators with gcd(q, a) > 1: a == 0 mod p on every coordinate
     mask = np.ones(shape, dtype=bool)
-    qq = q
-    p = 2
-    primes = []
-    while p * p <= qq:
-        if qq % p == 0:
-            primes.append(p)
-            while qq % p == 0:
-                qq //= p
-        p += 1
-    if qq > 1:
-        primes.append(qq)
     coords = np.indices(shape)
-    for p in primes:
+    for p, _ in factorize(q):
         bad = np.ones(shape, dtype=bool)
         for axis in range(d):
             bad &= (coords[axis] % p) == 0
@@ -336,8 +335,10 @@ def dirichlet_approx(theta, Q: int) -> ReducedFraction:
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
     out = ReducedFraction.make(p_cur, q_cur)
     err = abs(Fraction(theta) - out.value)
-    assert err <= Fraction(1, out.q * (Q + 1)), "approximation quality violated"
-    assert err <= Fraction(1, out.q * out.q)
+    if not err <= Fraction(1, out.q * (Q + 1)):
+        raise AssertionError("approximation quality violated")
+    if not err <= Fraction(1, out.q * out.q):
+        raise AssertionError("approximation is not within 1/q^2")
     return out
 
 
@@ -359,8 +360,10 @@ def dirichlet_rescale(theta, a: int, q: int, Q: int, M) -> ReducedFraction:
         raise PreconditionError("theta is not within 1/q^2 of a/q")
     out = dirichlet_approx(Q * theta, 2 * M_int)
     err = abs(Q * theta - out.value)
-    assert err * 2 * out.q * M_int <= 1, "rescaled approximation quality violated"
-    assert Fraction(q, 2 * Q) <= out.q <= 2 * M_int
+    if not err * 2 * out.q * M_int <= 1:
+        raise AssertionError("rescaled approximation quality violated")
+    if not Fraction(q, 2 * Q) <= out.q <= 2 * M_int:
+        raise AssertionError("rescaled denominator out of range")
     return out
 
 
@@ -426,7 +429,8 @@ def vandermonde_automorphisms(k: int, l: int, max_doublings: int = 8) -> Vanderm
         raise PreconditionError("need k >= 1 and l >= 1")
     alphas = _homogeneous_indices(k, l)
     nu = len(alphas)
-    assert nu == math.comb(l + k - 1, k - 1)
+    if nu != math.comb(l + k - 1, k - 1):
+        raise AssertionError("wrong number of homogeneous indices")
     B = l * k + 1
     for _ in range(max_doublings):
         mu = tuple(B ** i for i in range(k))   # mu_1 = 1 < mu_2 < ...

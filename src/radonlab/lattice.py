@@ -2,14 +2,23 @@
 
 Three analytic families are shipped: open Euclidean balls, open cubes
 (sup-norm balls) and open diagonal ellipsoids, each normalized to sit inside
-the closed unit ball and contain a small ball around the origin.  Membership
-of a lattice point in the dilate ``t * body`` is decided exactly: each body
-exposes the square of its gauge (Minkowski functional) at integer points as a
-``Fraction``, and the open-set convention is a strict comparison against
-``t**2``.  Points lying exactly on the boundary of a dilate are excluded.
+the closed unit ball and contain a small ball around the origin.  A body is
+given by its per-axis extents a_i and by how its gauge combines the axis
+terms (y_i / a_i)^2: summed for balls and ellipsoids, maximized for cubes.
 
-Enumeration scans an integer bounding box in lexicographic order, so outputs
-are deterministic.  A configurable cap guards against runaway scans.
+Membership is decided exactly in integers.  The denominators are cleared once
+per body: with D the lcm of the denominators of the 1/a_i^2, the weights
+w_i = D / a_i^2 are integers and the form of a lattice point y (the sum or the
+maximum of w_i y_i^2) is D times its squared gauge.  The point lies in the
+open dilate by t iff its form is below B = (largest integer strictly below
+t^2 D) + 1, so points on the boundary of a dilate are excluded.
+
+One scan serves every body: it masks the per-axis box of the dilate with that
+comparison in numpy (int64 when no form in the box can overflow it, Python
+integers otherwise) and emits the points in lexicographic order together with
+their forms.  ``gauge_square`` is the exact per-point gauge, kept for single
+queries and as the oracle of the scan.  A configurable cap guards against
+runaway scans.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, product
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +43,21 @@ def _strict_int_below(bound: Fraction) -> int:
 
 
 class ConvexBody:
-    """Base class for the shipped bodies.  Instances are immutable."""
+    """Base class for the shipped bodies.  Instances are immutable.
+
+    Subclasses supply ``axes``, the per-axis extents, and ``_combine``, the
+    ufunc folding the axis terms of the gauge (``np.add`` or ``np.maximum``).
+    """
 
     kind: str
     k: int
     inner_radius: float   # radius of a ball around 0 contained in the body
     outer_radius: float   # the body is contained in the closed ball of this radius (<= 1)
+    _combine = np.add
+
+    @property
+    def axes(self) -> tuple[float, ...]:
+        raise NotImplementedError
 
     # -- exact membership -------------------------------------------------
 
@@ -64,47 +84,58 @@ class ConvexBody:
 
     # -- enumeration --------------------------------------------------------
 
-    def _box_bound(self, t: float) -> int:
-        """Per-coordinate integer bound: all points of the dilate satisfy |y_i| <= bound."""
-        return max(0, _strict_int_below(Fraction(t) * Fraction(self.outer_radius)) + 1)
+    @cached_property
+    def _weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, w) with D * gauge_square(y) equal to the form of y over the w_i."""
+        inv = [1 / Fraction(a) ** 2 for a in self.axes]
+        D = math.lcm(*(f.denominator for f in inv))
+        return D, tuple(int(f * D) for f in inv)
 
-    def _scan(self, t: float, cap: int) -> list[tuple[int, ...]]:
-        b = self._box_bound(t)
-        if (2 * b + 1) ** self.k > cap:
-            raise BudgetError("lattice point cap", (2 * b + 1) ** self.k, cap)
-        t2 = Fraction(t) * Fraction(t)
-        pts = []
-        for y in _box_iter(b, self.k):
-            if self.gauge_square(y) < t2:
-                pts.append(y)
-        return pts
+    def _bound(self, t: float) -> int:
+        """B such that a lattice point is in the open dilate by t iff its form is < B."""
+        if t <= 0:
+            return 0
+        return _strict_int_below(Fraction(t) ** 2 * self._weights[0]) + 1
 
-
-def _box_iter(b: int, k: int):
-    if k == 1:
-        for y in range(-b, b + 1):
-            yield (y,)
-    else:
-        for y0 in range(-b, b + 1):
-            for rest in _box_iter(b, k - 1):
-                yield (y0,) + rest
+    def _scan(self, t: float, cap: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Lattice points of the open dilate by ``t`` in lexicographic order,
+        with their forms."""
+        B = self._bound(t)
+        if B <= 0:
+            return [], np.zeros(0, dtype=np.int64)
+        w = self._weights[1]
+        radii = [math.isqrt((B - 1) // wi) for wi in w]
+        cells = math.prod(2 * r + 1 for r in radii)
+        if cells > cap:
+            raise BudgetError("lattice point cap", cells, cap)
+        # bounds every w_i y_i^2 and every form in the box
+        top = max(B, max(w) * (max(radii) + 1) ** 2 * self.k)
+        dtype = np.int64 if top < 2 ** 62 else object
+        form = np.zeros((), dtype=dtype)
+        for wi, r in zip(w, radii):
+            y = np.arange(-r, r + 1, dtype=dtype)
+            form = self._combine.outer(form, wi * y * y)
+        inside = form < B
+        box = product(*(range(-r, r + 1) for r in radii))
+        return list(compress(box, inside.ravel().tolist())), form[inside]
 
 
 @dataclass(frozen=True)
 class EuclideanBall(ConvexBody):
     radius: float = 1.0
+    k: int = 1
 
     kind = "euclidean-ball"
 
     def __post_init__(self) -> None:
         if not 0 < self.radius <= 1:
             raise ValueError("ball radius must lie in (0, 1]")
-        object.__setattr__(self, "k", self._k)
         object.__setattr__(self, "inner_radius", min(self.radius, 1 - 2.0 ** -20))
         object.__setattr__(self, "outer_radius", self.radius)
 
-    # dimension is provided via constructor helper below
-    _k: int = 1
+    @property
+    def axes(self) -> tuple[float, ...]:
+        return (self.radius,) * self.k
 
     def gauge_square(self, y) -> Fraction:
         s = sum(int(c) * int(c) for c in y)
@@ -117,42 +148,28 @@ class EuclideanBall(ConvexBody):
     def boundary_distance(self, x, t: float) -> float:
         return abs(math.sqrt(sum(c * c for c in x)) - t * self.radius)
 
-    def _scan(self, t: float, cap: int) -> list[tuple[int, ...]]:
-        # integer fast path: |y|^2 <= smax  <=>  gauge < t
-        smax = _strict_int_below((Fraction(t) * Fraction(self.radius)) ** 2)
-        if smax < 0:
-            return []
-        b = math.isqrt(smax)
-        if (2 * b + 1) ** self.k > cap:
-            raise BudgetError("lattice point cap", (2 * b + 1) ** self.k, cap)
-        if self.k == 1:
-            return [(y,) for y in range(-b, b + 1)]
-        axes = [np.arange(-b, b + 1, dtype=np.int64)] * self.k
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ss = sum(m.astype(np.int64) ** 2 for m in mesh)
-        mask = ss <= smax
-        cols = [m[mask] for m in mesh]
-        out = sorted(zip(*[c.tolist() for c in cols]))
-        return [tuple(p) for p in out]
-
 
 @dataclass(frozen=True)
 class Cube(ConvexBody):
     """Open cube (-h, h)^k; requires h * sqrt(k) <= 1 to fit in the unit ball."""
 
     halfside: float = 1.0
-    _k: int = 1
+    k: int = 1
 
     kind = "cube"
+    _combine = np.maximum
 
     def __post_init__(self) -> None:
         if self.halfside <= 0:
             raise ValueError("halfside must be positive")
-        if self.halfside * math.sqrt(self._k) > 1 + 1e-12:
+        if self.halfside * math.sqrt(self.k) > 1 + 1e-12:
             raise ValueError("cube does not fit in the unit ball; shrink halfside")
-        object.__setattr__(self, "k", self._k)
         object.__setattr__(self, "inner_radius", min(self.halfside, 1 - 2.0 ** -20))
-        object.__setattr__(self, "outer_radius", self.halfside * math.sqrt(self._k))
+        object.__setattr__(self, "outer_radius", self.halfside * math.sqrt(self.k))
+
+    @property
+    def axes(self) -> tuple[float, ...]:
+        return (self.halfside,) * self.k
 
     def gauge_square(self, y) -> Fraction:
         m = max(abs(int(c)) for c in y)
@@ -168,14 +185,6 @@ class Cube(ConvexBody):
             return s - max(abs(c) for c in x)
         return math.sqrt(sum(max(abs(c) - s, 0.0) ** 2 for c in x))
 
-    def _scan(self, t: float, cap: int) -> list[tuple[int, ...]]:
-        b = _strict_int_below(Fraction(t) * Fraction(self.halfside))
-        if b < 0:
-            return []
-        if (2 * b + 1) ** self.k > cap:
-            raise BudgetError("lattice point cap", (2 * b + 1) ** self.k, cap)
-        return [tuple(p) for p in _box_iter(b, self.k)]
-
 
 @dataclass(frozen=True)
 class DiagonalEllipsoid(ConvexBody):
@@ -188,9 +197,16 @@ class DiagonalEllipsoid(ConvexBody):
     def __post_init__(self) -> None:
         if not self.semiaxes or any(a <= 0 or a > 1 for a in self.semiaxes):
             raise ValueError("semi-axes must lie in (0, 1]")
-        object.__setattr__(self, "k", len(self.semiaxes))
         object.__setattr__(self, "inner_radius", min(self.semiaxes))
         object.__setattr__(self, "outer_radius", max(self.semiaxes))
+
+    @property
+    def k(self) -> int:
+        return len(self.semiaxes)
+
+    @property
+    def axes(self) -> tuple[float, ...]:
+        return self.semiaxes
 
     def gauge_square(self, y) -> Fraction:
         total = Fraction(0)
@@ -264,13 +280,13 @@ class DiagonalEllipsoid(ConvexBody):
 
 
 def euclidean_ball(k: int, radius: float = 1.0) -> EuclideanBall:
-    return EuclideanBall(radius=radius, _k=k)
+    return EuclideanBall(radius=radius, k=k)
 
 
 def cube(k: int, halfside: float | None = None) -> Cube:
     if halfside is None:
         halfside = 1.0 / math.sqrt(k)
-    return Cube(halfside=halfside, _k=k)
+    return Cube(halfside=halfside, k=k)
 
 
 def ellipsoid(semiaxes: Sequence[float]) -> DiagonalEllipsoid:
@@ -305,8 +321,7 @@ def lattice_points(body: ConvexBody, t: float, cap: int = DEFAULT_POINT_CAP) -> 
         raise PreconditionError("dilation parameter must be >= 0")
     if t < 1:
         return LatticePointSet(body, t, ((0,) * body.k,))
-    pts = body._scan(t, cap)
-    return LatticePointSet(body, t, tuple(sorted(pts)))
+    return LatticePointSet(body, t, tuple(body._scan(t, cap)[0]))
 
 
 def annulus_points(body: ConvexBody, t1: float, t2: float,
@@ -317,14 +332,10 @@ def annulus_points(body: ConvexBody, t1: float, t2: float,
     """
     if not 0 <= t1 <= t2:
         raise PreconditionError("need 0 <= t1 <= t2")
-    outer = lattice_points(body, t2, cap)
-    if t1 < 1:
-        origin = (0,) * body.k
-        pts = tuple(p for p in outer.points if p != origin)
-        return LatticePointSet(body, t2, pts)
-    t1sq = Fraction(t1) * Fraction(t1)
-    pts = tuple(p for p in outer.points if not body.gauge_square(p) < t1sq)
-    return LatticePointSet(body, t2, pts)
+    pts, form = body._scan(t2, cap)
+    # as in lattice_points, a dilate by t1 < 1 holds the origin (form 0) alone
+    keep = form >= max(body._bound(t1), 1)
+    return LatticePointSet(body, t2, tuple(compress(pts, keep.tolist())))
 
 
 def near_boundary_count(body: ConvexBody, t: float, s: float,
@@ -335,31 +346,27 @@ def near_boundary_count(body: ConvexBody, t: float, s: float,
     b = int(math.ceil(t * body.outer_radius + s)) + 1
     if (2 * b + 1) ** body.k > cap:
         raise BudgetError("near-boundary scan cap", (2 * b + 1) ** body.k, cap)
-    count = 0
-    for y in _box_iter(b, body.k):
-        if body.boundary_distance(y, t) < s:
-            count += 1
-    return count
+    return sum(1 for y in product(range(-b, b + 1), repeat=body.k)
+               if body.boundary_distance(y, t) < s)
 
 
 def gauge_groups(body: ConvexBody, gauge_max: float,
                  cap: int = DEFAULT_POINT_CAP) -> list[tuple[float, list[tuple[int, ...]]]]:
     """Nonzero lattice points with gauge < gauge_max, grouped by exact gauge value.
 
-    Groups are returned in strictly increasing gauge order; grouping keys are
-    exact rationals so points entering a dilation family at the same scale are
-    never split by floating-point noise.
+    Groups are returned in strictly increasing gauge order, each in
+    lexicographic order; grouping keys are the exact integer forms, so points
+    entering a dilation family at the same scale are never split by
+    floating-point noise.
     """
-    pts = body._scan(float(gauge_max), cap)
-    groups: dict[Fraction, list[tuple[int, ...]]] = {}
-    for p in pts:
-        if all(c == 0 for c in p):
-            continue
-        groups.setdefault(body.gauge_square(p), []).append(p)
-    out = []
-    for key in sorted(groups):
-        out.append((math.sqrt(float(key)), sorted(groups[key])))
-    return out
+    pts, form = body._scan(float(gauge_max), cap)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for p, f in zip(pts, form.tolist()):
+        if f:
+            groups.setdefault(f, []).append(p)
+    D = body._weights[0]
+    # int / int rounds correctly, so f / D == float(Fraction(f, D))
+    return [(math.sqrt(f / D), groups[f]) for f in sorted(groups)]
 
 
 def audit_inclusion(body: ConvexBody, n_dirs: int = 64, seed: int = 7) -> bool:

@@ -218,50 +218,60 @@ class RadonKernel:
         return len(self.entries)
 
 
-def _image_multiplicities(points, mapper) -> dict[tuple[int, ...], int]:
-    mult: dict[tuple[int, ...], int] = {}
+def _image_sums(points, mapper, cz: CZKernelSpec | None = None) -> dict:
+    """Per image under ``mapper``: the number of points mapped there, or with
+    a kernel spec the sum of the kernel values at the nonzero points."""
+    acc: dict = {}
+    if cz is None:
+        for y in points:
+            x = mapper(y)
+            acc[x] = acc.get(x, 0) + 1
+        return acc
     for y in points:
-        x = mapper(y)
-        mult[x] = mult.get(x, 0) + 1
-    return mult
+        if any(y):
+            x = mapper(y)
+            acc[x] = acc.get(x, 0j) + complex(cz.evaluate(y))
+    return acc
+
+
+def _kernel(flavor: str, body: ConvexBody, t: float, dim: int, mapper,
+            cz: CZKernelSpec | None, cap: int) -> RadonKernel:
+    """The kernel at scale 2**t whose entries sit at the images under
+    ``mapper`` of the lattice points of the dilate."""
+    if t < 0:
+        raise PreconditionError("t must be >= 0")
+    if flavor == "singular" and cz is None:
+        raise ValueError("singular flavor needs a kernel spec")
+    pts = lattice_points(body, 2.0 ** t, cap)
+    if flavor == "averaging":
+        mult = tuple(sorted(_image_sums(pts, mapper).items()))
+        entries = tuple((x, complex(m) / len(pts)) for x, m in mult)
+        return RadonKernel("averaging", t, dim, entries, mult, len(pts))
+    acc = _image_sums(pts, mapper, cz)
+    return RadonKernel("singular", t, dim,
+                       tuple((x, v) for x, v in sorted(acc.items()) if v != 0))
 
 
 def averaging_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
                      cap: int = 10 ** 8) -> RadonKernel:
     """Uniform average over the lattice points of the dilate by 2**t, pushed
     through the canonical monomial map.  Collisions accumulate mass."""
-    if t < 0:
-        raise PreconditionError("t must be >= 0")
-    pts = lattice_points(body, 2.0 ** t, cap)
-    c = len(pts)
-    mult = _image_multiplicities(pts, lambda y: canonical_map(y, gammas))
-    entries = tuple((x, complex(m) / c) for x, m in sorted(mult.items()))
-    return RadonKernel("averaging", t, len(gammas), entries,
-                       tuple(sorted(mult.items())), c)
+    return _kernel("averaging", body, t, len(gammas),
+                   lambda y: canonical_map(y, gammas), None, cap)
 
 
 def singular_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
                     cz: CZKernelSpec, cap: int = 10 ** 8) -> RadonKernel:
     """Kernel values at nonzero lattice points of the dilate, pushed through
     the canonical map; empty when the dilate contains only the origin."""
-    if t < 0:
-        raise PreconditionError("t must be >= 0")
     if cz.k != body.k:
         raise ValueError("kernel and body dimensions differ")
-    pts = lattice_points(body, 2.0 ** t, cap)
-    acc: dict[tuple[int, ...], complex] = {}
-    origin = (0,) * body.k
-    for y in pts:
-        if y == origin:
-            continue
-        x = canonical_map(y, gammas)
-        acc[x] = acc.get(x, 0j) + complex(cz.evaluate(y))
-    entries = tuple((x, v) for x, v in sorted(acc.items()) if v != 0)
-    return RadonKernel("singular", t, len(gammas), entries)
+    return _kernel("singular", body, t, len(gammas),
+                   lambda y: canonical_map(y, gammas), cz, cap)
 
 
 def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody,
-                            t: float, flavor: str, gammas_unused=None,
+                            t: float, flavor: str,
                             cz: CZKernelSpec | None = None,
                             cap: int = 10 ** 8) -> RadonKernel:
     """Kernel along a general integer polynomial mapping y -> (P_1(y), ..., P_m(y))."""
@@ -272,28 +282,8 @@ def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody
             raise ValueError("polynomial arity does not match the body dimension")
         if not p.is_integer_valued():
             raise ValueError("mapping polynomials must have integer coefficients")
-    pts = lattice_points(body, 2.0 ** t, cap)
-
-    def mapper(y):
-        return tuple(int(p.evaluate(y)) for p in polys)
-
-    if flavor == "averaging":
-        c = len(pts)
-        mult = _image_multiplicities(pts, mapper)
-        entries = tuple((x, complex(m) / c) for x, m in sorted(mult.items()))
-        return RadonKernel("averaging", t, len(polys), entries,
-                           tuple(sorted(mult.items())), c)
-    if cz is None:
-        raise ValueError("singular flavor needs a kernel spec")
-    origin = (0,) * body.k
-    acc: dict[tuple[int, ...], complex] = {}
-    for y in pts:
-        if y == origin:
-            continue
-        x = mapper(y)
-        acc[x] = acc.get(x, 0j) + complex(cz.evaluate(y))
-    return RadonKernel("singular", t, len(polys),
-                       tuple((x, v) for x, v in sorted(acc.items()) if v != 0))
+    return _kernel(flavor, body, t, len(polys),
+                   lambda y: tuple(int(p.evaluate(y)) for p in polys), cz, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +408,11 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
 
     totals = [Fraction(0) if flavor == "averaging" else 0.0
               for _ in range(n_max + 1)]
-    origin_img = canonical_map((0,) * body.k, gammas)
-    mult: dict[tuple[int, ...], int] = {origin_img: 1}
+
+    def mapper(y):
+        return canonical_map(y, gammas)
+
+    mult: dict[tuple[int, ...], int] = {mapper((0,) * body.k): 1}
     count = 1
 
     for gauge, pts in groups:
@@ -434,7 +427,7 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
             break
 
         if flavor == "averaging":
-            added = _image_multiplicities(pts, lambda y: canonical_map(y, gammas))
+            added = _image_sums(pts, mapper)
             new_count = count + len(pts)
             affected_mass = sum(mult.get(x, 0) for x in added)
             step = Fraction(count - affected_mass) * Fraction(new_count - count,
@@ -447,11 +440,7 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
             if 0 <= block <= n_max:
                 totals[block] += step
         else:
-            added_w: dict[tuple[int, ...], complex] = {}
-            for y in pts:
-                x = canonical_map(y, gammas)
-                added_w[x] = added_w.get(x, 0j) + complex(cz.evaluate(y))
-            step_f = sum(abs(v) for v in added_w.values())
+            step_f = sum(abs(v) for v in _image_sums(pts, mapper, cz).values())
             if 0 <= block <= n_max:
                 totals[block] += step_f
 

@@ -42,9 +42,9 @@ class PathField:
     values: tuple[tuple[complex, ...], ...]   # values[i] is the path at sites[i]
 
     def __post_init__(self) -> None:
+        # each row must pass the checks of a single path on the shared grid
         for row in self.values:
-            if len(row) != len(self.times):
-                raise ValueError("every site must be sampled on the shared grid")
+            SampledPath(self.times, row)
 
     def path(self, i: int) -> SampledPath:
         return SampledPath(self.times, self.values[i])

@@ -50,6 +50,15 @@ def test_jumps_command(tmp_path):
     assert "jump_seminorm_p2.0=" in text
 
 
+def test_jumps_rejects_invalid_path_file(tmp_path):
+    field = tmp_path / "field.txt"
+    for text in ("times 1 2 3\n0 0 0 nan 0 0 0\n",     # a nan sample
+                 "times 1 1 3\n0 0 0 1 0 0 0\n"):       # repeated time
+        field.write_text(text)
+        assert run(tmp_path, "jumps", "--input", str(field)) == 2
+    assert not (tmp_path / "jumps.csv").exists()
+
+
 def test_radon_apply_mass_preserved(tmp_path):
     from radonlab import LatticeFunction
     delta = tmp_path / "delta.txt"

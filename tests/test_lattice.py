@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radonlab import (BudgetError, PreconditionError, annulus_points, cube,
                       ellipsoid, euclidean_ball, gauge_groups, lattice_points,
@@ -145,3 +148,71 @@ def test_inclusion_audit():
 def test_cube_must_fit_unit_ball():
     with pytest.raises(ValueError):
         cube(2, halfside=1.0)
+
+
+# -- the integer scan against the exact per-point gauge ------------------------
+
+# dyadic extents keep the cleared forms in int64; non-dyadic ones (0.1 has a
+# 2^55-sized denominator) push the scan onto Python integers
+DYADIC = (1.0, 0.8125, 0.75, 0.5, 0.375)
+NON_DYADIC = (0.9, 0.7, 0.45, 0.3, 0.1)
+
+
+@st.composite
+def bodies(draw):
+    kind = draw(st.sampled_from(("ball", "cube", "ellipsoid")))
+    k = draw(st.integers(1, 3))
+    extent = st.sampled_from(DYADIC + NON_DYADIC)
+    if kind == "ball":
+        return euclidean_ball(k, draw(extent))
+    if kind == "cube":
+        return cube(k, draw(extent.filter(lambda h: h * math.sqrt(k) <= 1)))
+    return ellipsoid([draw(extent) for _ in range(k)])
+
+
+# quarter steps hit exact boundaries of dyadic bodies; floats hit the rest
+dilations = st.one_of(st.integers(4, 40).map(lambda n: n / 4),
+                      st.floats(1.0, 10.0))
+
+
+def test_scan_exercises_both_integer_widths():
+    assert euclidean_ball(2, 0.75)._scan(9.0, 10 ** 6)[1].dtype == np.int64
+    assert euclidean_ball(2, 0.1)._scan(90.0, 10 ** 6)[1].dtype == object
+
+
+@settings(max_examples=80, deadline=None)
+@given(bodies(), dilations)
+@example(euclidean_ball(2), 5.0)            # (3, 4) on the boundary
+@example(cube(2, 0.5), 6.0)                 # the faces |y_i| = 3
+@example(ellipsoid([1.0, 0.75]), 4.0)       # (0, 3) and (4, 0)
+@example(ellipsoid([0.1, 0.3, 0.7]), 10.0)  # (1, 0, 0) on the boundary
+def test_lattice_points_match_gauge_square_scan(body, t):
+    got = lattice_points(body, t).points
+    assert list(got) == brute_points(body, t, int(t) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies(), dilations)
+@example(euclidean_ball(2), 5.0)
+def test_gauge_groups_keys_are_exact_gauges(body, t):
+    groups = gauge_groups(body, t)
+    # distinct exact gauges may round to one float, so order on the exact ones
+    exact = [body.gauge_square(pts[0]) for _, pts in groups]
+    assert all(a < b for a, b in zip(exact, exact[1:]))
+    for (g, pts), e in zip(groups, exact):
+        assert pts == sorted(pts)
+        assert all(body.gauge_square(p) == e for p in pts)
+        assert g == math.sqrt(float(e))
+    flat = sorted(p for _, pts in groups for p in pts)
+    assert flat == [p for p in brute_points(body, t, int(t) + 1) if any(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies(), st.integers(0, 40).map(lambda n: n / 4), dilations)
+@example(euclidean_ball(2), 5.0, 7.0)
+def test_annulus_is_difference_of_two_scans(body, t1, t2):
+    t1, t2 = sorted((t1, t2))
+    ann = annulus_points(body, t1, t2).points
+    outer = lattice_points(body, t2).points
+    inner = set(lattice_points(body, t1).points)
+    assert list(ann) == [p for p in outer if p not in inner]

@@ -96,10 +96,25 @@ def test_radon_along_square_polynomial():
 
 
 def test_radon_along_matches_canonical():
-    polys = [IntegerPolynomial.make(1, {(1,): 1}), IntegerPolynomial.make(1, {(2,): 1})]
-    ka = radon_along_polynomials(polys, IV, 2.0, "averaging")
-    kc = averaging_kernel(IV, 2.0, G12)
-    assert ka.entries == kc.entries
+    ball = euclidean_ball(2)
+    cases = ((IV, G12, cz_inverse(IV)), (ball, full_degree_set(2, 2), cz_quadrupole(ball)))
+    for body, gammas, cz in cases:
+        # the canonical map is the mapping by the monomials y^gamma
+        polys = [IntegerPolynomial.make(body.k, {g: 1}) for g in gammas]
+        for t in (0.0, 2.0, 3.5):
+            ka = radon_along_polynomials(polys, body, t, "averaging")
+            kc = averaging_kernel(body, t, gammas)
+            assert ka.entries == kc.entries
+            assert ka.multiplicities == kc.multiplicities
+            ks = radon_along_polynomials(polys, body, t, "singular", cz=cz)
+            assert ks.entries == singular_kernel(body, t, gammas, cz).entries
+
+
+def test_radon_along_rejects_negative_t():
+    P = IntegerPolynomial.make(1, {(2,): 1})
+    for flavor in ("averaging", "singular"):
+        with pytest.raises(PreconditionError):
+            radon_along_polynomials([P], IV, -1.0, flavor, cz=cz_inverse(IV))
 
 
 # -- application ------------------------------------------------------------------

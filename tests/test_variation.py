@@ -193,6 +193,15 @@ def test_sampled_path_validation():
         SampledPath((0.0, 1.0), (1j,))
 
 
+def test_path_field_validates_every_row_like_a_path():
+    with pytest.raises(ValueError):
+        PathField(((0,),), (0.0, 1.0), ((0j, complex(float("nan"), 0)),))
+    with pytest.raises(ValueError):
+        PathField(((0,),), (1.0, 1.0), ((0j, 1j),))
+    with pytest.raises(ValueError):
+        PathField(((0,),), (0.0, 1.0), ((0j,),))
+
+
 def test_scaling_homogeneity():
     rng = random.Random(37)
     row = tuple(random_path(rng, 7))
