@@ -208,7 +208,10 @@ def cmd_major_arc(ns: argparse.Namespace) -> int:
     gammas = full_degree_set(1, ns.deg)
     body = euclidean_ball(1)
     point = RationalPoint.make(ns.a, ns.q)
-    theta = tuple(Fraction(th) for th in ns.theta) if ns.theta else ()
+    try:
+        theta = tuple(Fraction(th) for th in ns.theta)
+    except ZeroDivisionError:
+        raise ValueError(f"--theta has a zero denominator: {ns.theta}") from None
     rows = []
     for N in ns.N:
         rep = major_arc_error("averaging", body, gammas, N, point, theta)

@@ -3,7 +3,9 @@ generalized-Vandermonde change of variables.
 
 Phase discipline: whenever a frequency is rational, the phase is reduced mod 1
 in exact integer arithmetic before any trigonometric call, so large lattice
-points never lose precision to cancellation.
+points never lose precision to cancellation.  One exact-phase path,
+``phase_numerators`` then ``unit_phases``, serves every sum of e(P(y)) over
+points in the package, on whole arrays of points in int64 or Python integers.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 from .errors import BudgetError, PreconditionError
 from .lattice import ConvexBody, lattice_points
 from .multiindex import MultiIndexSet, degree
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_SUMMAND_CAP = 10 ** 9
 
@@ -73,9 +73,6 @@ class ReducedFraction:
     @property
     def value(self) -> Fraction:
         return Fraction(self.a, self.q)
-
-    def on_torus(self) -> "ReducedFraction":
-        return ReducedFraction(self.a % self.q, self.q)
 
 
 @dataclass(frozen=True)
@@ -161,6 +158,53 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# Exact phases
+# ---------------------------------------------------------------------------
+
+
+def phase_numerators(points, monomials, nums, Q: int) -> np.ndarray:
+    """sum_i nums[i] * y^monomials[i] mod Q, exactly, for each row y of ``points``.
+
+    Residues are int64 while Q < 2^31, so that products of two stay below
+    2^62; larger moduli use Python integers (object dtype)."""
+    dtype = np.int64 if Q < 2 ** 31 else object
+    acc = np.zeros(len(points), dtype)
+    if not monomials:
+        return acc
+    y = np.asarray(points)
+    if dtype is object or y.dtype.kind not in "iu":
+        # coordinates beyond int64, which numpy may even hold as floats
+        y = np.array(points, dtype=object)
+    y = (y.reshape(len(acc), len(monomials[0])) % Q).astype(dtype)
+    for a, g in zip(nums, monomials):
+        m = np.ones(len(y), dtype)
+        for c, e in zip(y.T, g):
+            for _ in range(e):
+                m = m * c % Q
+        acc = (acc + a % Q * m) % Q
+    return acc
+
+
+def _root_table(Q: int) -> np.ndarray:
+    """e(n / Q) for n = 0, ..., Q - 1."""
+    return np.exp(2j * np.pi * np.arange(Q) / Q)
+
+
+def unit_phases(num: np.ndarray, Q: int) -> np.ndarray:
+    """e(num / Q) for phase numerators reduced mod Q: a table lookup while
+    Q <= 2^16, else exp(2 pi i num/Q) with num/Q correctly rounded."""
+    if Q <= 1 << 16:
+        return _root_table(Q)[num]
+    return np.exp(2j * np.pi * np.asarray(num / Q, dtype=float))
+
+
+def running_sums(terms) -> np.ndarray:
+    """0j, 0j + terms[0], (0j + terms[0]) + terms[1], ...: strictly left to
+    right, as a Python loop adds (``np.sum`` pairs terms and rounds apart)."""
+    return np.add.accumulate(np.concatenate(([0j], terms)))
+
+
+# ---------------------------------------------------------------------------
 # Gauss sums
 # ---------------------------------------------------------------------------
 
@@ -172,23 +216,15 @@ def gauss_sum(point: RationalPoint, gammas: MultiIndexSet, k: int,
     q^{-k} * sum over r in {1..q}^k of e((a/q) . r^Gamma), with the phase
     numerator reduced mod q in integer arithmetic.
     """
-    if point.d != len(gammas):
-        raise ValueError("rational point and index set dimensions differ")
+    if point.d != len(gammas) or gammas.k != k:
+        raise ValueError("rational point, index set and k do not match")
     q = point.q
     if q ** k > cap:
         raise BudgetError("gauss sum summand cap", q ** k, cap)
-    counts = [0] * q
-    for r in product(range(1, q + 1), repeat=k):
-        num = 0
-        for a, g in zip(point.numerators, gammas.members):
-            m = 1
-            for ri, e in zip(r, g):
-                if e:
-                    m = (m * pow(ri, e, q)) % q
-            num = (num + a * m) % q
-        counts[num] += 1
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    return complex(np.dot(counts, roots)) / q ** k
+    r = np.indices((q,) * k).reshape(k, -1).T + 1
+    counts = np.bincount(phase_numerators(r, gammas.members, point.numerators, q),
+                         minlength=q)
+    return complex(np.dot(counts, _root_table(q))) / q ** k
 
 
 @dataclass(frozen=True)
@@ -210,9 +246,8 @@ def _gauss_max_over_numerators(q: int, gammas: MultiIndexSet) -> tuple[float, tu
     d = len(gammas)
     shape = (q,) * d
     table = np.zeros(shape, dtype=np.float64)
-    for r in range(1, q + 1):
-        idx = tuple(pow(r, degree(g), q) for g in gammas.members)
-        table[idx] += 1.0
+    r = np.arange(1, q + 1)[:, None]
+    np.add.at(table, tuple(phase_numerators(r, [g], [1], q) for g in gammas.members), 1.0)
     spec = np.abs(np.fft.fftn(table))
     # mask numerators with gcd(q, a) > 1: a == 0 mod p on every coordinate
     mask = np.ones(shape, dtype=bool)
@@ -235,14 +270,19 @@ def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int,
 
     The per-q maximum is exhaustive over admissible numerators.  For k = 1 the
     whole numerator sweep is a multidimensional DFT of the residue-count table
-    and is done by FFT; other k fall back to direct summation under the cap.
+    and is done by FFT; other k fall back to direct summation, capped in total.
     """
     if q_max < 2:
         raise PreconditionError("q_max must be >= 2")
     d = len(gammas)
+    fft = lambda q: k == 1 and q ** d <= 2 ** 24
+    # the direct branch sums q^k terms for each of q^d numerators
+    needed = sum(q ** (d + k) for q in range(2, q_max + 1) if not fft(q))
+    if needed > cap:
+        raise BudgetError("gauss scan total summands", needed, cap)
     rows = []
     for q in range(2, q_max + 1):
-        if k == 1 and q ** d <= 2 ** 24:
+        if fft(q):
             m, arg = _gauss_max_over_numerators(q, gammas)
             # table indices are residues mod q; report canonical numerators
             rows.append(GaussScanRow(q, m, arg))
@@ -268,28 +308,6 @@ def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int,
 # ---------------------------------------------------------------------------
 
 
-def _rational_phase_evaluator(poly: IntegerPolynomial) -> Callable[[Sequence[int]], complex]:
-    """Exact-phase evaluator n -> e(P(n)) for a polynomial with rational coefficients."""
-    dens = [c.denominator for _, c in poly.coeffs] or [1]
-    Q = math.lcm(*dens)
-    numer = [(g, int(c * Q)) for g, c in poly.coeffs]
-    table = np.exp(2j * np.pi * np.arange(Q) / Q) if Q <= 1 << 16 else None
-
-    def phase(n: Sequence[int]) -> complex:
-        num = 0
-        for g, a in numer:
-            m = 1
-            for ni, e in zip(n, g):
-                if e:
-                    m = (m * pow(int(ni), e, Q)) % Q
-            num = (num + a * m) % Q
-        if table is not None:
-            return table[num]
-        return unit_phase(num / Q)
-
-    return phase
-
-
 def weyl_sum(poly: IntegerPolynomial, body: ConvexBody, N: float,
              phi: Callable[[tuple[int, ...]], complex] | None = None,
              cap: int = DEFAULT_SUMMAND_CAP) -> complex:
@@ -297,14 +315,12 @@ def weyl_sum(poly: IntegerPolynomial, body: ConvexBody, N: float,
     pts = lattice_points(body, N, cap)
     if len(pts) > cap:
         raise BudgetError("weyl sum summand cap", len(pts), cap)
-    phase = _rational_phase_evaluator(poly)
-    total = 0j
-    for n in pts:
-        v = phase(n)
-        if phi is not None:
-            v *= phi(n)
-        total += v
-    return total
+    rp = RationalPoint.from_fractions([c for _, c in poly.coeffs])
+    v = unit_phases(phase_numerators(pts.points, [g for g, _ in poly.coeffs],
+                                     rp.numerators, rp.q), rp.q)
+    if phi is not None:
+        v = [p * phi(n) for p, n in zip(v.tolist(), pts)]
+    return complex(running_sums(v)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +551,8 @@ def weyl_bound_report(poly: IntegerPolynomial, body: ConvexBody, N: float,
     the logarithmic-loss bound N log N (1/q + 1/N + q/N^d)^(1/(2d^2-2d+1)).
     """
     gamma0 = tuple(gamma0)
+    if not N > 0 or degree(gamma0) < 1:
+        raise PreconditionError("need N > 0 and a nonconstant monomial gamma0")
     if q < 1 or math.gcd(abs(a), q) != 1:
         raise PreconditionError("a/q must be reduced with q >= 1")
     xi0 = poly.coeff(gamma0)

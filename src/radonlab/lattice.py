@@ -93,6 +93,8 @@ class ConvexBody:
 
     def _bound(self, t: float) -> int:
         """B such that a lattice point is in the open dilate by t iff its form is < B."""
+        if not math.isfinite(t):
+            raise PreconditionError("dilation parameter must be finite")
         if t <= 0:
             return 0
         return _strict_int_below(Fraction(t) ** 2 * self._weights[0]) + 1
@@ -308,7 +310,11 @@ class LatticePointSet:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
+        return tuple(p) in self._point_set
+
+    @cached_property
+    def _point_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.points)
 
 
 def lattice_points(body: ConvexBody, t: float, cap: int = DEFAULT_POINT_CAP) -> LatticePointSet:

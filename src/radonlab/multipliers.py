@@ -3,9 +3,12 @@ major-arc approximation error reports, minor-arc increment reports, the box
 average multiplier, oscillatory decay scans, and the full-residue kernel
 identity.
 
-Discrete multipliers at rational frequencies are exact-phase: the phase
-numerator is reduced mod the common denominator in integer arithmetic before
-any trigonometric call.  Continuous symbols are computed by adaptive
+Discrete multipliers at rational frequencies are exact-phase: every phase
+comes from ``expsums.phase_numerators``, which reduces the numerator mod the
+common denominator in integer arithmetic before any trigonometric call, for
+all lattice points at once.  Float frequencies, the only inexact input, are
+reduced mod 1 point by point in the same ``_phases`` helper, and the sums are
+accumulated left to right.  Continuous symbols are computed by adaptive
 Gauss-Legendre panels; principal values use the paired-annulus subtraction
 form, which is absolutely convergent once the kernel's annulus integrals
 vanish for the paired body.
@@ -24,8 +27,10 @@ import numpy as np
 from .errors import (BudgetError, NonconvergenceError, OscillationBudgetError,
                      PreconditionError)
 from .lattice import ConvexBody, EuclideanBall, Cube, lattice_points
-from .multiindex import MultiIndexSet, canonical_map, degree
-from .expsums import RationalPoint, gauss_sum, unit_phase
+from .multiindex import (FrequencyVector, MultiIndexSet, canonical_map, degree,
+                         quasi_norm)
+from .expsums import (RationalPoint, gauss_sum, phase_numerators, running_sums,
+                      unit_phase, unit_phases)
 from .radon import CZKernelSpec
 
 DEFAULT_OSCILLATION_BUDGET = 1.0e6
@@ -51,36 +56,28 @@ def _xi_entries(xi, gammas: MultiIndexSet):
             exact)
 
 
-def _phase_function(values, exact: bool, gammas: MultiIndexSet):
-    """Return y -> e(xi . y^Gamma) with exact mod-1 reduction when possible."""
-    degs = [degree(g) for g in gammas.members]
+def _check_flavor(flavor: str, cz: CZKernelSpec | None) -> None:
+    if flavor not in ("averaging", "singular"):
+        raise ValueError("flavor must be 'averaging' or 'singular'")
+    if flavor == "singular" and cz is None:
+        raise ValueError("singular flavor needs a kernel spec")
+
+
+def _phases(values, exact: bool, gammas: MultiIndexSet, points) -> np.ndarray:
+    """e(xi . y^Gamma) at each point y: through the phase numerators mod the
+    common denominator of an exact xi, by float reduction mod 1 otherwise."""
     if exact:
-        fr = [Fraction(v) for v in values]
-        Q = math.lcm(*(f.denominator for f in fr)) if fr else 1
-        nums = [int(f * Q) for f in fr]
-        table = np.exp(2j * np.pi * np.arange(Q) / Q) if Q <= 1 << 16 else None
-
-        def phase(y):
-            img = canonical_map(y, gammas)
-            num = 0
-            for a, m in zip(nums, img):
-                num = (num + a * (m % Q)) % Q
-            if table is not None:
-                return complex(table[num])
-            return unit_phase(num / Q)
-
-        return phase
-
+        rp = RationalPoint.from_fractions(values)
+        return unit_phases(phase_numerators(points, gammas.members, rp.numerators, rp.q),
+                           rp.q)
     vals = [float(v) for v in values]
-
-    def phase_f(y):
-        img = canonical_map(y, gammas)
+    out = []
+    for y in points:
         acc = 0.0
-        for a, m in zip(vals, img):
+        for a, m in zip(vals, canonical_map(y, gammas)):
             acc = (acc + a * m) % 1.0
-        return unit_phase(acc)
-
-    return phase_f
+        out.append(unit_phase(acc))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +94,13 @@ def discrete_multiplier(flavor: str, body: ConvexBody, t: float,
     Equals the exponential sum over the dilate's lattice points, normalized
     for the averaging flavor and kernel-weighted for the singular flavor.
     """
-    vals, exact = _xi_entries(xi, gammas)
-    phase = _phase_function(vals, exact, gammas)
-    pts = lattice_points(body, 2.0 ** t, cap)
+    _check_flavor(flavor, cz)
+    pts = lattice_points(body, 2.0 ** t, cap).points
+    ph = _phases(*_xi_entries(xi, gammas), gammas, pts)
     if flavor == "averaging":
-        return sum(phase(y) for y in pts) / len(pts)
-    if flavor == "singular":
-        if cz is None:
-            raise ValueError("singular flavor needs a kernel spec")
-        origin = (0,) * body.k
-        return sum(phase(y) * complex(cz.evaluate(y)) for y in pts if y != origin)
-    raise ValueError("flavor must be 'averaging' or 'singular'")
+        return complex(running_sums(ph)[-1]) / len(pts)
+    return complex(running_sums([p * complex(cz.evaluate(y))
+                                 for p, y in zip(ph.tolist(), pts) if any(y)])[-1])
 
 
 def _halfwidth(body: ConvexBody) -> Fraction:
@@ -132,8 +125,6 @@ def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
     if gammas.k != 1:
         raise ValueError("breakpoint profile implemented for k = 1")
     w = _halfwidth(body)
-    vals, exact = _xi_entries(xi, gammas)
-    phase = _phase_function(vals, exact, gammas)
 
     def j_at(t: float) -> int:
         bound = Fraction(2.0 ** t) * w
@@ -142,29 +133,16 @@ def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
     j_lo, j_hi = j_at(t_lo), j_at(t_hi)
     if 2 * j_hi + 1 > cap:
         raise BudgetError("breakpoint profile cap", 2 * j_hi + 1, cap)
-    out: list[tuple[int, complex]] = []
+    _check_flavor(flavor, cz)
+    # 0, 1, -1, 2, -2, ...: the order in which the sums take the points
+    ys = [(s * j,) for j in range(1, j_hi + 1) for s in (1, -1)]
+    ph = _phases(*_xi_entries(xi, gammas), gammas, [(0,)] + ys)
     if flavor == "averaging":
-        S = phase((0,))
-        if j_lo == 0:
-            out.append((0, S))
-        for j in range(1, j_hi + 1):
-            S += phase((j,)) + phase((-j,))
-            if j >= j_lo:
-                out.append((j, S / (2 * j + 1)))
-        return out
-    if flavor == "singular":
-        if cz is None:
-            raise ValueError("singular flavor needs a kernel spec")
-        S = 0j
-        if j_lo == 0:
-            out.append((0, S))
-        for j in range(1, j_hi + 1):
-            S += phase((j,)) * complex(cz.evaluate((j,)))
-            S += phase((-j,)) * complex(cz.evaluate((-j,)))
-            if j >= j_lo:
-                out.append((j, S))
-        return out
-    raise ValueError("flavor must be 'averaging' or 'singular'")
+        # S_0 = e(0) and S_j = S_{j-1} + (e(+j) + e(-j))
+        S = running_sums(np.concatenate((ph[:1], ph[1::2] + ph[2::2])))[1:].tolist()
+        return [(j, S[j] / (2 * j + 1)) for j in range(j_lo, j_hi + 1)]
+    S = running_sums([p * complex(cz.evaluate(y)) for p, y in zip(ph[1:].tolist(), ys)])
+    return [(j, complex(S[2 * j])) for j in range(j_lo, j_hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +210,7 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
     absolutely convergent subtraction form.  Refuses frequencies whose total
     phase variation across the dilate exceeds the oscillation budget.
     """
+    _check_flavor(flavor, cz)
     vals, _ = _xi_entries(xi, gammas)
     fvals = [float(v) for v in vals]
     degs = [degree(g) for g in gammas.members]
@@ -250,9 +229,6 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
             val, err, lev = _adaptive(f, -Rw, Rw, tol, start)
             return SymbolEvaluation(val / (2 * Rw), t, "gl-interval", err / (2 * Rw), lev)
         if flavor == "singular":
-            if cz is None:
-                raise ValueError("singular flavor needs a kernel spec")
-
             def paired(y: np.ndarray) -> np.ndarray:
                 kp = np.array([cz.evaluate((float(v),)) for v in y])
                 km = np.array([cz.evaluate((-float(v),)) for v in y])
@@ -260,7 +236,6 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
 
             val, err, lev = _adaptive(paired, 0.0, Rw, tol, start)
             return SymbolEvaluation(val, t, "gl-paired-pv", err, lev)
-        raise ValueError("flavor must be 'averaging' or 'singular'")
 
     if body.k == 2 and isinstance(body, EuclideanBall):
         Rr = R * body.radius
@@ -292,8 +267,6 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
             return SymbolEvaluation(2 * math.pi * val / area, t, "gl-polar",
                                     2 * math.pi * err / area, lev)
         if flavor == "singular":
-            if cz is None:
-                raise ValueError("singular flavor needs a kernel spec")
             kappa = np.array([cz.evaluate((float(c), float(s))) for c, s in zip(ct, st)])
             # zero spherical mean lets the constant term be subtracted ring by ring
 
@@ -418,9 +391,8 @@ def multiplier_increment_report(flavor: str, body: ConvexBody,
     if beta_max <= 0:
         raise PreconditionError("no positive beta admits this q")
     vals, _ = _xi_entries(xi, gammas)
-    xi0 = Fraction(vals[gammas.index(gamma0)]) if not isinstance(vals[0], float) \
-        else vals[gammas.index(gamma0)]
-    if abs(Fraction(xi0) - Fraction(a, q)) > Fraction(1, q * q):
+    xi0 = Fraction(vals[gammas.index(gamma0)])
+    if abs(xi0 - Fraction(a, q)) > Fraction(1, q * q):
         raise PreconditionError("xi_gamma0 is not within 1/q^2 of a/q")
     if body.k == 1:
         prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1,
@@ -559,8 +531,10 @@ def box_neighborhood_report(mult: BoxAverageMultiplier, point: RationalPoint,
 
 
 @lru_cache(maxsize=4096)
-def _full_residue_dim_sum(q: int, c_mod: int) -> complex:
-    return sum(unit_phase(((b * c_mod) % q) / q) for b in range(1, q + 1))
+def _character_sum(q: int, c: int) -> complex:
+    """Sum of e(b c / q) over b = 1, ..., q."""
+    b = np.arange(1, q + 1)[:, None]
+    return complex(np.sum(unit_phases(phase_numerators(b, [(1,)], [c], q), q)))
 
 
 def dirichlet_kernel_identity(q: int, d: int, x: Sequence[int],
@@ -580,7 +554,7 @@ def dirichlet_kernel_identity(q: int, d: int, x: Sequence[int],
     closed = q ** d if all(c % q == 0 for c in x) else 0
     direct = 1.0 + 0j
     for c in x:
-        direct *= _full_residue_dim_sum(q, c % q)
+        direct *= _character_sum(q, c % q)
     if abs(direct - closed) > check_tol * q ** d:
         raise AssertionError(
             f"kernel identity mismatch: direct {direct}, closed {closed}")
@@ -620,8 +594,6 @@ def symbol_decay_scan(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
     regime tracks the distance from the zero-frequency limit (1 for the
     averaging flavor, 0 for the singular one) against (2^t q*(xi))^(1/d).
     """
-    from .multiindex import FrequencyVector, quasi_norm
-
     d = len(gammas)
     limit = 1.0 if flavor == "averaging" else 0.0
     rows = []

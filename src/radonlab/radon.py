@@ -238,8 +238,8 @@ def _kernel(flavor: str, body: ConvexBody, t: float, dim: int, mapper,
             cz: CZKernelSpec | None, cap: int) -> RadonKernel:
     """The kernel at scale 2**t whose entries sit at the images under
     ``mapper`` of the lattice points of the dilate."""
-    if t < 0:
-        raise PreconditionError("t must be >= 0")
+    if not 0 <= t < 1024:   # from t = 1024 on, 2.0 ** t overflows a float
+        raise PreconditionError("t must lie in [0, 1024)")
     if flavor == "singular" and cz is None:
         raise ValueError("singular flavor needs a kernel spec")
     pts = lattice_points(body, 2.0 ** t, cap)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from radonlab.cli import main
 
 
@@ -85,3 +87,29 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RADONLAB_OUT", str(tmp_path / "envout"))
     assert main(["gauss-scan", "--k", "1", "--deg", "1", "--qmax", "8"]) == 0
     assert (tmp_path / "envout" / "gauss-scan.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["radon-apply", "--flavor", "avg", "--t", "1e400"],
+    ["radon-apply", "--flavor", "singular", "--t", "inf"],
+    ["radon-apply", "--flavor", "avg", "--t", "1e300"],
+    ["radon-apply", "--flavor", "avg", "--t", "nan"],
+    ["weyl-verify", "--N", "0", "--samples", "1"],
+    ["weyl-verify", "--deg", "0", "--N", "4", "--samples", "1"],
+    ["major-arc", "--q", "3", "--a", "1", "1", "--N", "4", "--theta", "1/0"],
+])
+def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args):
+    delta = tmp_path / "delta.txt"
+    delta.write_text("0 0 1.0 0.0\n")
+    if args[0] == "radon-apply":
+        args = args + ["--input", str(delta)]
+    assert run(tmp_path, *args) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-manifest.json"))
+
+
+def test_gauss_scan_total_work_is_capped(tmp_path, capsys):
+    # 19 numerator coordinates at k = 3: q^22 summands per q, far past the cap
+    assert run(tmp_path, "gauss-scan", "--k", "3", "--deg", "3", "--qmax", "40") == 3
+    assert "gauss scan total summands" in capsys.readouterr().err
+    assert not (tmp_path / "gauss-scan.csv").exists()

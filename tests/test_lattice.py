@@ -130,6 +130,23 @@ def test_budget_error():
         lattice_points(euclidean_ball(2), 1000.0, cap=100)
 
 
+def test_repeated_membership_matches_gauge_square():
+    rng = random.Random(23)
+    for body, t in ((euclidean_ball(2), 30.5), (cube(2, 0.5), 41.0),
+                    (ellipsoid([1.0, 0.75]), 24.0)):
+        pts = lattice_points(body, t)
+        for _ in range(300):
+            y = (rng.randrange(-45, 46), rng.randrange(-45, 46))
+            assert (y in pts) == (body.gauge_square(y) < Fraction(t) ** 2)
+            assert (list(y) in pts) == (y in pts)
+
+
+def test_non_finite_dilation_rejected():
+    for t in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            lattice_points(euclidean_ball(2), t)
+
+
 def test_gauge_groups_ordering_and_membership():
     body = euclidean_ball(2)
     groups = gauge_groups(body, 3.0)
