@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetError, NonconvergenceError
+from .errors import BudgetError, NonconvergenceError, PreconditionError
 from .lattice import euclidean_ball
 from .multiindex import full_degree_set
 from .expsums import (IntegerPolynomial, RationalPoint, gauss_decay_scan,
@@ -114,6 +114,8 @@ def cmd_iw_build(ns: argparse.Namespace) -> int:
 
 
 def cmd_weyl_verify(ns: argparse.Namespace) -> int:
+    if ns.samples < 1:
+        raise PreconditionError("weyl-verify: need --samples >= 1")
     rng = random.Random(ns.seed)
     d = ns.deg
     eps = 1.0 / (2 * d * d - 2 * d + 1)

@@ -209,6 +209,9 @@ def build_denominator_set(N: int, rho: float,
         ds = DenominatorSet(N, cfg, "small", Q0, window, (), members, {})
     else:
         n_divisors = math.prod(e + 1 for _, e in fact)
+        # every divisor of Q0 is a member, so refuse before collecting smooth numbers
+        if n_divisors > member_cap:
+            raise BudgetError("denominator member cap", n_divisors, member_cap)
         smooth = [1]
         for n in range(2, N + 1):
             m = n

@@ -37,6 +37,14 @@ from .errors import BudgetError, PreconditionError
 DEFAULT_POINT_CAP = 10 ** 8
 
 
+def dyadic_radius(t: float) -> float:
+    """2**t, the radius of the operators at scale t.  Raises unless t lies in
+    [0, 1024): from t = 1024 on, 2.0 ** t overflows a float."""
+    if not 0 <= t < 1024:
+        raise PreconditionError("t must lie in [0, 1024)")
+    return 2.0 ** t
+
+
 def _strict_int_below(bound: Fraction) -> int:
     """Largest integer strictly below ``bound``."""
     return (bound.numerator - 1) // bound.denominator

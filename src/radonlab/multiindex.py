@@ -6,8 +6,10 @@ The basic combinatorial layer: finite sets of nonzero integer multi-indices in
 the degree-weighted quasi-norm, and the dilation that scales the coordinate of
 degree ``m`` by ``2**(t*m)``.
 
-All arithmetic on lattice points is done in Python's arbitrary-precision
-integers, so monomial evaluation is exact at any scale.  Frequency vectors are
+All arithmetic on lattice points is exact at any scale: ``canonical_map``
+works in Python's arbitrary-precision integers, and ``monomial_images``,
+which evaluates the monomials at a whole array of points at once, in int64
+only while no value can overflow it.  Frequency vectors are
 either exact (``Fraction`` entries) or floating; the backend is an explicit
 flag and the two are never mixed inside one vector.
 """
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from numbers import Integral
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[int, float, Fraction]
 
@@ -112,6 +116,39 @@ def canonical_map(x: Sequence[int], gammas: MultiIndexSet) -> tuple[int, ...]:
                 v *= xi ** e
         out.append(v)
     return tuple(out)
+
+
+def integer_rows(points, k: int) -> np.ndarray:
+    """The integer points ``points`` as an (n, k) array: int64 while every
+    coordinate is below 2^62 in magnitude, so that a sum of two cannot
+    overflow, and Python integers (object dtype) otherwise."""
+    try:
+        y = np.fromiter(chain.from_iterable(points), np.int64, len(points) * k)
+        if not y.size or -2 ** 62 < y.min() and y.max() < 2 ** 62:
+            return y.reshape(len(points), k)
+    except OverflowError:
+        pass
+    return np.array(points, dtype=object).reshape(len(points), k)
+
+
+def monomial_images(points, monomials: Sequence[Sequence[int]]) -> np.ndarray:
+    """Every monomial y^gamma of ``monomials`` at every row y of ``points``,
+    exactly: an (n, len(monomials)) array, int64 while max |y|^deg < 2^62 and
+    Python integers (object dtype) above."""
+    k = len(monomials[0]) if monomials else 0
+    y = integer_rows(points, k) if monomials else np.zeros((len(points), 0), np.int64)
+    deg = max((degree(g) for g in monomials), default=0)
+    top = max(-int(y.min()), int(y.max())) if y.size else 0
+    dtype = np.int64 if top ** deg < 2 ** 62 else object
+    y = y.astype(dtype)
+    out = np.empty((len(y), len(monomials)), dtype)
+    for j, g in enumerate(monomials):
+        col = np.ones(len(y), dtype)
+        for c, e in zip(y.T, g):
+            if e:
+                col = col * c ** e
+        out[:, j] = col
+    return out
 
 
 @dataclass(frozen=True)

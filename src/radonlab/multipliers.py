@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (BudgetError, NonconvergenceError, OscillationBudgetError,
                      PreconditionError)
-from .lattice import ConvexBody, EuclideanBall, Cube, lattice_points
+from .lattice import ConvexBody, EuclideanBall, Cube, dyadic_radius, lattice_points
 from .multiindex import (FrequencyVector, MultiIndexSet, canonical_map, degree,
                          quasi_norm)
 from .expsums import (RationalPoint, gauss_sum, phase_numerators, running_sums,
@@ -95,7 +95,7 @@ def discrete_multiplier(flavor: str, body: ConvexBody, t: float,
     for the averaging flavor and kernel-weighted for the singular flavor.
     """
     _check_flavor(flavor, cz)
-    pts = lattice_points(body, 2.0 ** t, cap).points
+    pts = lattice_points(body, dyadic_radius(t), cap).points
     ph = _phases(*_xi_entries(xi, gammas), gammas, pts)
     if flavor == "averaging":
         return complex(running_sums(ph)[-1]) / len(pts)
@@ -127,7 +127,7 @@ def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
     w = _halfwidth(body)
 
     def j_at(t: float) -> int:
-        bound = Fraction(2.0 ** t) * w
+        bound = Fraction(dyadic_radius(t)) * w
         return max(0, (bound.numerator - 1) // bound.denominator)
 
     j_lo, j_hi = j_at(t_lo), j_at(t_hi)
@@ -214,7 +214,7 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
     vals, _ = _xi_entries(xi, gammas)
     fvals = [float(v) for v in vals]
     degs = [degree(g) for g in gammas.members]
-    R = 2.0 ** t
+    R = dyadic_radius(t)
 
     if body.k == 1:
         w = float(_halfwidth(body))
@@ -601,7 +601,7 @@ def symbol_decay_scan(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
         for xi in xi_values:
             vals, exact = _xi_entries(xi, gammas)
             fv = FrequencyVector.float_vector(gammas, [float(v) for v in vals])
-            qn = 2.0 ** t * quasi_norm(fv)
+            qn = dyadic_radius(t) * quasi_norm(fv)
             ev = continuous_symbol(flavor, body, t, gammas, xi, tol=tol, cz=cz,
                                    oscillation_budget=oscillation_budget)
             mod = abs(ev.value)

@@ -2,6 +2,12 @@
 monomial or general polynomial mappings, with sparse and torus-FFT
 application paths, and the exact per-block kernel 1-variation table.
 
+Kernel builds, sparse application and the block table work on whole arrays:
+the monomial images of all points come from ``multiindex.monomial_images``,
+equal images or sites are grouped by ``_row_labels``, and every
+floating-point sum is taken in the order the former per-point loops used, so
+the results are the same bit for bit.
+
 Scale convention: an operator at parameter t has radius 2**t.  Averaging
 kernels place mass 1/#points at the image of every lattice point of the
 dilate (image collisions accumulate); singular kernels place the kernel value
@@ -19,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .lattice import ConvexBody, gauge_groups, lattice_points
-from .multiindex import MultiIndexSet, canonical_map
+from .lattice import ConvexBody, dyadic_radius, gauge_groups, lattice_points
+from .multiindex import MultiIndexSet, integer_rows, monomial_images
 from .variation import PathField, jump_seminorm, r_variation
 from .expsums import IntegerPolynomial
 
@@ -218,38 +224,75 @@ class RadonKernel:
         return len(self.entries)
 
 
-def _image_sums(points, mapper, cz: CZKernelSpec | None = None) -> dict:
-    """Per image under ``mapper``: the number of points mapped there, or with
-    a kernel spec the sum of the kernel values at the nonzero points."""
-    acc: dict = {}
-    if cz is None:
-        for y in points:
-            x = mapper(y)
-            acc[x] = acc.get(x, 0) + 1
-        return acc
-    for y in points:
-        if any(y):
-            x = mapper(y)
-            acc[x] = acc.get(x, 0j) + complex(cz.evaluate(y))
-    return acc
+def _row_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the rows of an (n, d) integer array, equal rows sharing one
+    and the distinct rows numbered in lexicographic order, and the index of
+    the first row with each label.
+
+    Each column enters a mixed-radix key as its offset from its minimum, or
+    as its rank among its distinct values when it is sparse or held as
+    Python integers; the key is re-ranked whenever it could reach 2^62."""
+    key, size = np.zeros(len(rows), np.int64), 1
+    if not len(rows):
+        return key, key
+    for col in rows.T:
+        lo = col.min()
+        span = int(col.max()) - int(lo) + 1
+        if col.dtype == object or span > len(col):
+            values, r = np.unique(col, return_inverse=True)
+            span = len(values)
+        else:
+            r = col - lo
+        if size * span >= 2 ** 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key, size = key * span + r, size * span
+    _, first, labels = np.unique(key, return_index=True, return_inverse=True)
+    return labels, first
+
+
+def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a 2-D integer array as tuples of Python integers."""
+    return list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
+
+
+def _complex_list(re: np.ndarray, im: np.ndarray) -> list[complex]:
+    """complex(re[i], im[i]) for each i, bit for bit."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z.tolist()
+
+
+def _label_sums(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per label, the real and imaginary parts of the sum of its complex
+    ``values``, added in input order from 0.0 as ``0j + v + ...`` adds."""
+    return (np.bincount(labels, weights=values.real),
+            np.bincount(labels, weights=values.imag))
 
 
 def _kernel(flavor: str, body: ConvexBody, t: float, dim: int, mapper,
             cz: CZKernelSpec | None, cap: int) -> RadonKernel:
     """The kernel at scale 2**t whose entries sit at the images under
-    ``mapper`` of the lattice points of the dilate."""
-    if not 0 <= t < 1024:   # from t = 1024 on, 2.0 ** t overflows a float
-        raise PreconditionError("t must lie in [0, 1024)")
+    ``mapper`` (an array of points to the array of their images) of the
+    lattice points of the dilate."""
     if flavor == "singular" and cz is None:
         raise ValueError("singular flavor needs a kernel spec")
-    pts = lattice_points(body, 2.0 ** t, cap)
+    pts = lattice_points(body, dyadic_radius(t), cap).points
     if flavor == "averaging":
-        mult = tuple(sorted(_image_sums(pts, mapper).items()))
-        entries = tuple((x, complex(m) / len(pts)) for x, m in mult)
-        return RadonKernel("averaging", t, dim, entries, mult, len(pts))
-    acc = _image_sums(pts, mapper, cz)
-    return RadonKernel("singular", t, dim,
-                       tuple((x, v) for x, v in sorted(acc.items()) if v != 0))
+        images = mapper(pts)
+        labels, first = _row_labels(images)
+        sites, counts = _tuples(images[first]), np.bincount(labels)
+        # complex(m) / n is complex(m / n, 0.0), with m / n correctly rounded
+        masses = _complex_list(counts / len(pts), np.zeros(len(counts)))
+        return RadonKernel("averaging", t, dim, tuple(zip(sites, masses)),
+                           tuple(zip(sites, counts.tolist())), len(pts))
+    ys = [y for y in pts if any(y)]
+    images = mapper(ys)
+    labels, first = _row_labels(images)
+    re, im = _label_sums(labels, np.array([complex(cz.evaluate(y)) for y in ys], complex))
+    keep = (re != 0) | (im != 0)
+    return RadonKernel("singular", t, dim, tuple(zip(_tuples(images[first[keep]]),
+                                                     _complex_list(re[keep], im[keep]))))
 
 
 def averaging_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
@@ -257,7 +300,7 @@ def averaging_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
     """Uniform average over the lattice points of the dilate by 2**t, pushed
     through the canonical monomial map.  Collisions accumulate mass."""
     return _kernel("averaging", body, t, len(gammas),
-                   lambda y: canonical_map(y, gammas), None, cap)
+                   lambda pts: monomial_images(pts, gammas.members), None, cap)
 
 
 def singular_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
@@ -267,7 +310,7 @@ def singular_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
     if cz.k != body.k:
         raise ValueError("kernel and body dimensions differ")
     return _kernel("singular", body, t, len(gammas),
-                   lambda y: canonical_map(y, gammas), cz, cap)
+                   lambda pts: monomial_images(pts, gammas.members), cz, cap)
 
 
 def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody,
@@ -282,8 +325,19 @@ def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody
             raise ValueError("polynomial arity does not match the body dimension")
         if not p.is_integer_valued():
             raise ValueError("mapping polynomials must have integer coefficients")
-    return _kernel(flavor, body, t, len(polys),
-                   lambda y: tuple(int(p.evaluate(y)) for p in polys), cz, cap)
+    monos = sorted({g for p in polys for g, _ in p.coeffs})
+    coeffs = np.array([[int(p.coeff(g)) for p in polys] for g in monos],
+                      dtype=object).reshape(len(monos), len(polys))
+    weight = max((sum(abs(c) for c in col) for col in coeffs.T), default=0)
+
+    def mapper(pts):
+        m = monomial_images(pts, monos)
+        # every image is below max |y^gamma| * weight in magnitude
+        if m.dtype == object or int(np.abs(m).max(initial=1)) * weight >= 2 ** 62:
+            return m.astype(object) @ coeffs
+        return m @ coeffs.astype(np.int64)
+
+    return _kernel(flavor, body, t, len(polys), mapper, cz, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +347,34 @@ def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody
 
 def apply(kernel: RadonKernel, f: LatticeFunction,
           out_cap: int = DEFAULT_OUTPUT_CAP) -> LatticeFunction:
-    """Sparse convolution g(x) = sum_z kernel(z) f(x - z)."""
+    """Sparse convolution g(x) = sum_z kernel(z) f(x - z).
+
+    Every product kernel(z) f(x) is formed, and added to its site's sum, in
+    the order z-major then x ascending, with the float operations of Python's
+    complex arithmetic; sites enter g in the order they are first reached."""
     if f.dim != kernel.dim:
         raise ValueError("kernel and function dimensions differ")
     if len(kernel) * len(f) > out_cap:
         raise BudgetError("sparse convolution output cap", len(kernel) * len(f), out_cap)
-    acc: dict[tuple[int, ...], complex] = {}
-    for z, w in kernel.entries:
-        for x, v in f.items():
-            site = tuple(a + b for a, b in zip(x, z))
-            acc[site] = acc.get(site, 0j) + w * v
-    return LatticeFunction(f.dim, acc)
+    g = LatticeFunction(f.dim)
+    if not len(kernel) or not len(f):
+        return g
+    zs, ws = zip(*kernel.entries)
+    xs, vs = zip(*f.items())
+    sites = integer_rows(zs, f.dim)[:, None] + integer_rows(xs, f.dim)[None]
+    sites = sites.reshape(len(zs) * len(xs), f.dim)
+    w, v = np.array(ws, complex)[:, None], np.array(vs, complex)[None]
+    # numpy's complex * may round apart from Python's (w.re v.re - w.im v.im, ...)
+    prods = np.empty(len(sites), complex)
+    prods.real = (w.real * v.real - w.imag * v.imag).ravel()
+    prods.imag = (w.real * v.imag + w.imag * v.real).ravel()
+    labels, first = _row_labels(sites)
+    re, im = _label_sums(labels, prods)
+    order = np.argsort(first)
+    re, im, first = re[order], im[order], first[order]
+    keep = (re != 0) | (im != 0)
+    g._data = dict(zip(_tuples(sites[first[keep]]), _complex_list(re[keep], im[keep])))
+    return g
 
 
 def apply_on_torus(kernel: RadonKernel, grid: np.ndarray) -> np.ndarray:
@@ -322,8 +393,9 @@ def apply_on_torus(kernel: RadonKernel, grid: np.ndarray) -> np.ndarray:
         raise PreconditionError(
             f"torus side {L} does not exceed twice the support radius {radii}")
     kgrid = np.zeros(shape, dtype=complex)
-    for z, w in kernel.entries:
-        kgrid[tuple(c % L for c in z)] += w
+    if len(kernel):
+        zs, ws = zip(*kernel.entries)
+        np.add.at(kgrid, tuple((integer_rows(zs, kernel.dim) % L).T), ws)
     return np.fft.ifftn(np.fft.fftn(kgrid) * np.fft.fftn(np.asarray(grid, dtype=complex)))
 
 
@@ -382,6 +454,44 @@ class BlockVariationReport:
         return [r.value for r in self.rows]
 
 
+def _averaging_steps(labels, sizes, pair_group, starts, first, added):
+    """||K_next - K_prev||_1 at each breakpoint of an averaging family, as one
+    Fraction each.
+
+    A breakpoint adds s points to the c before it.  An image it reaches with
+    a points, which held m, goes from mass m/c to (m + a)/(c + s); an image
+    it misses loses m s / (c (c + s)), and those hold c - sum m points.  So
+    the step is N / (c (c + s)) with the integer
+    N = (c - sum m) s + sum |a c - m s|, both sums over the images reached."""
+    n = len(labels)
+    # a, m, c and s are below n, so N < 3 n^2 fits int64 while n < 2^30
+    dtype = np.int64 if n < 2 ** 30 else object
+    # m: the points that share a point's image and come before it
+    order = np.argsort(labels, kind="stable")
+    run = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    before = np.empty(n, np.int64)
+    before[order] = np.arange(n) - np.repeat(run, np.diff(np.append(run, n)))
+    m = before[1 + first].astype(dtype)
+    s = sizes.astype(dtype)
+    c = 1 + np.concatenate(([0], np.cumsum(s)[:-1])).astype(dtype)
+    a = added.astype(dtype)
+    reached = np.abs(a * c[pair_group] - m * s[pair_group])
+    nums = (c - np.add.reduceat(m, starts)) * s + np.add.reduceat(reached, starts)
+    return (Fraction(num, cc * (cc + ss))
+            for num, cc, ss in zip(nums.tolist(), c.tolist(), s.tolist()))
+
+
+def _singular_steps(values, pair_of_point, first, starts):
+    """||K_next - K_prev||_1 at each breakpoint of a singular family: the sum,
+    over the images the breakpoint's points reach in the order they are
+    first reached, of the absolute kernel mass they add there."""
+    re, im = _label_sums(pair_of_point, values)
+    order = np.argsort(first)
+    mass = [abs(z) for z in _complex_list(re[order], im[order])]
+    bounds = starts.tolist() + [len(mass)]
+    return (sum(mass[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
                                   flavor: str, tau: float, n_max: int,
                                   cz: CZKernelSpec | None = None,
@@ -403,19 +513,28 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
     if flavor == "singular" and cz is None:
         raise ValueError("singular flavor needs a kernel spec")
 
-    gauge_hi = 2.0 ** ((n_max + 1) ** tau)
-    groups = gauge_groups(body, gauge_hi, cap)
+    groups = gauge_groups(body, dyadic_radius((n_max + 1) ** tau), cap)
+    sizes = np.array([len(pts) for _, pts in groups], dtype=np.int64)
+    # label 0 is the origin's image, where the kernel starts
+    pts = [(0,) * body.k] + [y for _, group in groups for y in group]
+    labels = _row_labels(monomial_images(pts, gammas.members))[0]
+    # one (breakpoint, image) pair per image a breakpoint's points reach
+    n_images = int(labels.max()) + 1
+    group = np.repeat(np.arange(len(groups)), sizes)
+    pair, first, pair_of_point, added = np.unique(
+        group * n_images + labels[1:],
+        return_index=True, return_inverse=True, return_counts=True)
+    pair_group = pair // n_images
+    starts = np.flatnonzero(np.diff(pair_group, prepend=-1))
+    if flavor == "averaging":
+        steps = _averaging_steps(labels, sizes, pair_group, starts, first, added)
+    else:
+        values = np.array([complex(cz.evaluate(y)) for y in pts[1:]], complex)
+        steps = _singular_steps(values, pair_of_point, first, starts)
 
     totals = [Fraction(0) if flavor == "averaging" else 0.0
               for _ in range(n_max + 1)]
-
-    def mapper(y):
-        return canonical_map(y, gammas)
-
-    mult: dict[tuple[int, ...], int] = {mapper((0,) * body.k): 1}
-    count = 1
-
-    for gauge, pts in groups:
+    for (gauge, _), step in zip(groups, steps):
         # block n owns the breakpoints with n^tau <= log2(gauge) < (n+1)^tau
         lg = math.log2(gauge) if gauge > 0 else 0.0
         block = int(math.floor(lg ** (1.0 / tau))) if lg > 0 else 0
@@ -425,24 +544,7 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
             block -= 1
         if block > n_max:
             break
-
-        if flavor == "averaging":
-            added = _image_sums(pts, mapper)
-            new_count = count + len(pts)
-            affected_mass = sum(mult.get(x, 0) for x in added)
-            step = Fraction(count - affected_mass) * Fraction(new_count - count,
-                                                              count * new_count)
-            for x, a in added.items():
-                m = mult.get(x, 0)
-                step += abs(Fraction(m + a, new_count) - Fraction(m, count))
-                mult[x] = m + a
-            count = new_count
-            if 0 <= block <= n_max:
-                totals[block] += step
-        else:
-            step_f = sum(abs(v) for v in _image_sums(pts, mapper, cz).values())
-            if 0 <= block <= n_max:
-                totals[block] += step_f
+        totals[block] += step
 
     rows = []
     for n in range(1, n_max + 1):

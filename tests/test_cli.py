@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -97,6 +98,8 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     ["weyl-verify", "--N", "0", "--samples", "1"],
     ["weyl-verify", "--deg", "0", "--N", "4", "--samples", "1"],
     ["major-arc", "--q", "3", "--a", "1", "1", "--N", "4", "--theta", "1/0"],
+    ["major-arc", "--q", "3", "--a", "1", "1", "--N", "2000"],   # 2.0 ** N overflows
+    ["major-arc", "--q", "3", "--a", "1", "1", "--N", "-1"],     # scale below 1
 ])
 def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args):
     delta = tmp_path / "delta.txt"
@@ -113,3 +116,18 @@ def test_gauss_scan_total_work_is_capped(tmp_path, capsys):
     assert run(tmp_path, "gauss-scan", "--k", "3", "--deg", "3", "--qmax", "40") == 3
     assert "gauss scan total summands" in capsys.readouterr().err
     assert not (tmp_path / "gauss-scan.csv").exists()
+
+
+def test_weyl_verify_needs_samples(tmp_path, capsys):
+    assert run(tmp_path, "weyl-verify", "--N", "16", "--samples", "0") == 2
+    assert "usage error: weyl-verify: need --samples >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "weyl-verify.csv").exists()
+
+
+def test_iw_build_refuses_oversized_set_at_once(tmp_path, capsys):
+    # Q0 alone has about 4e34 divisors, far past the member cap
+    start = time.perf_counter()
+    assert run(tmp_path, "iw-build", "--N", "100000", "--rho", "1.0") == 3
+    assert time.perf_counter() - start < 2.0
+    assert "denominator member cap" in capsys.readouterr().err
+    assert not (tmp_path / "denominator-set.json").exists()

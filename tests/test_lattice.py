@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from radonlab import (BudgetError, PreconditionError, annulus_points, cube,
                       ellipsoid, euclidean_ball, gauge_groups, lattice_points,
                       near_boundary_count)
-from radonlab.lattice import audit_inclusion
+from radonlab.lattice import audit_inclusion, dyadic_radius
 
 
 def brute_points(body, t, bound):
@@ -233,3 +233,10 @@ def test_annulus_is_difference_of_two_scans(body, t1, t2):
     outer = lattice_points(body, t2).points
     inner = set(lattice_points(body, t1).points)
     assert list(ann) == [p for p in outer if p not in inner]
+
+
+def test_dyadic_radius_guard():
+    assert dyadic_radius(0) == 1.0 and dyadic_radius(1023.5) == 2.0 ** 1023.5
+    for t in (-1e-9, -1, 1024, 1e400, float("nan"), float("-inf")):
+        with pytest.raises(PreconditionError):
+            dyadic_radius(t)

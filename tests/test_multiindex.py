@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radonlab import (FrequencyVector, MultiIndexSet, anisotropic_dilate,
                       canonical_map, full_degree_set, quasi_norm)
+from radonlab.multiindex import monomial_images
 
 
 def test_canonical_map_monomials():
@@ -114,3 +118,22 @@ def test_torus_reduction():
     g = full_degree_set(1, 2)
     xi = FrequencyVector.exact_vector(g, [Fraction(7, 3), Fraction(-1, 4)])
     assert xi.torus().values == (Fraction(1, 3), Fraction(3, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.sampled_from(full_degree_set(k, 4).members), min_size=1, max_size=5,
+             unique=True),
+    st.lists(st.tuples(*[st.one_of(st.integers(-50, 50), st.integers(-2 ** 70, 2 ** 70))] * k),
+             max_size=6))))
+@example(([(3,)], [(1664510,)]))        # 1664510^3 just below 2^62: int64
+@example(([(3,)], [(-1664511,)]))       # |y|^3 just above 2^62: Python integers
+@example(([(0, 1)], [(2 ** 63, 2)]))    # numpy alone would hold 2^63 as a float
+def test_monomial_images_equal_canonical_map(case):
+    members, points = case
+    gammas = MultiIndexSet.from_indices(len(members[0]), members)
+    got = monomial_images(points, gammas.members)
+    assert got.shape == (len(points), len(gammas))
+    assert [tuple(r) for r in got.tolist()] == [canonical_map(y, gammas) for y in points]
+    top = max((abs(c) for y in points for c in y), default=0)
+    assert (got.dtype == np.int64) == (top ** gammas.max_degree < 2 ** 62)

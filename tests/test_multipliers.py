@@ -307,3 +307,15 @@ def test_decay_scan_singular_zero_limit():
     # singular limit is 0, so with d = 1 the two ratios are tied through q*
     assert row.symbol_mod == pytest.approx(row.smallness_ratio * row.quasi,
                                            rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [-1.0, 1024.0, float("nan")])
+def test_scales_outside_the_dilation_range_are_refused(t):
+    xi = [Fraction(1, 3), Fraction(1, 5)]
+    calls = (lambda: discrete_multiplier("averaging", IV, t, G12, xi),
+             lambda: multiplier_breakpoint_profile("averaging", IV, G12, xi, t, 2.0),
+             lambda: continuous_symbol("averaging", IV, t, G12, [0.01, 0.0]),
+             lambda: symbol_decay_scan("averaging", IV, G1, [t], [[0.01]]))
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
