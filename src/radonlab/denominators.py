@@ -15,13 +15,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, islice, product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .expsums import RationalPoint, factorize
 
 DEFAULT_MEMBER_CAP = 2_000_000
+DEFAULT_PRODUCT_CAP = 5_000_000
+# function values one step of the exhaustive separation audit holds at once
+_AUDIT_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +194,19 @@ def _divisors_from_factorization(fact: list[tuple[int, int]]) -> list[int]:
     return sorted(divs)
 
 
+def _exact_array(values, top: int) -> np.ndarray:
+    """``values`` as int64 while ``top`` bounds every product formed from
+    them below 2^62, and as Python integers (object dtype) otherwise."""
+    return np.array(values, np.int64 if top < 2 ** 62 else object)
+
+
 def build_denominator_set(N: int, rho: float,
                           member_cap: int = DEFAULT_MEMBER_CAP) -> DenominatorSet:
     """Construct the denominator set at resolution N.
 
-    The three structural properties (contains 1..N, bounded above by
+    The window-smooth numbers come from a sieve, and the members are the
+    products of every divisor of Q0 with every smooth number, formed as one
+    array.  The three structural properties (contains 1..N, bounded above by
     max(N, e^(N^rho)), lcm equal to lcm(1..N)) are checked at build time.
     """
     if N < 1:
@@ -212,29 +225,34 @@ def build_denominator_set(N: int, rho: float,
         # every divisor of Q0 is a member, so refuse before collecting smooth numbers
         if n_divisors > member_cap:
             raise BudgetError("denominator member cap", n_divisors, member_cap)
-        smooth = [1]
-        for n in range(2, N + 1):
-            m = n
-            for p in window:
-                while m % p == 0:
-                    m //= p
-            if m == 1:
-                smooth.append(n)
+        # smooth numbers: 1..N with no prime factor outside the window
+        sieve = np.ones(N + 1, bool)
+        for p, _ in fact:
+            sieve[p::p] = False
+        smooth = (np.flatnonzero(sieve[1:]) + 1).tolist()
         if n_divisors * len(smooth) > member_cap:
             raise BudgetError("denominator member cap",
                               n_divisors * len(smooth), member_cap)
         divisors = _divisors_from_factorization(fact)
-        witness = {}
-        for d in divisors:
-            for s in smooth:
-                witness[d * s] = (d, s)
-        members = tuple(sorted(witness))
+        top = Q0 * smooth[-1]
+        prods = np.multiply.outer(_exact_array(divisors, top),
+                                  _exact_array(smooth, top)).ravel()
+        order = np.argsort(prods)
+        keys = prods.astype(object)
+        del prods
+        # the unique (divisor, smooth) factorization of each member, inserted
+        # divisor by divisor
+        witness = dict(zip(keys, product(divisors, smooth)))
+        if len(witness) != len(keys):
+            raise AssertionError("a member factors in two ways")
+        keys = keys[order]
+        del order              # freed before the tuple: a lower peak RSS
+        members = tuple(keys)
         ds = DenominatorSet(N, cfg, "product", Q0, window, tuple(smooth),
                             members, witness)
 
-    # structural checks
-    mset = ds.member_set()
-    if not all(n in mset for n in range(1, N + 1)):
+    # structural checks; the members are sorted and distinct
+    if ds.members[:N] != tuple(range(1, N + 1)):
         raise AssertionError("1..N not contained")
     bound_log = max(math.log(N), float(N) ** rho)
     if not math.log(ds.max_member()) <= bound_log + 1e-9:
@@ -313,25 +331,53 @@ def surjection_family(V: Sequence, k: int, seed: int = 2024,
 
     rng = random.Random(seed)
     r = max(1, math.ceil(k ** (k + 1) / math.factorial(k) * math.log(n)))
+    chunk = max(1, _AUDIT_CELLS // (r * k))
+    full = (1 << k) - 1
 
-    def covered(fams: list[dict]) -> bool:
+    def separated(bits: np.ndarray, subsets: list) -> np.ndarray:
+        # a function separates a k-subset iff its k values are all distinct,
+        # i.e. the values' bits 1 << (f - 1) fill all k bits
+        idx = np.array(subsets, np.intp).reshape(-1, k)
+        return (np.bitwise_or.reduce(bits[:, idx], axis=2) == full).any(axis=0)
+
+    def covered(bits: np.ndarray) -> bool:
         if math.comb(n, k) <= audit_cap:
-            from itertools import combinations
-            for E in combinations(V, k):
-                if not any(len({f[e] for e in E}) == k for f in fams):
+            subsets = combinations(range(n), k)
+            while block := list(islice(subsets, chunk)):
+                if not separated(bits, block).all():
                     return False
             return True
         for _ in range(audit_samples):
-            E = rng.sample(V, k)
-            if not any(len({f[e] for e in E}) == k for f in fams):
+            if not separated(bits, [rng.sample(range(n), k)])[0]:
                 return False
         return True
 
     for _ in range(max_retries):
-        fams = [{v: rng.randrange(1, k + 1) for v in V} for _ in range(r)]
-        if covered(fams):
-            return [f for f in fams if set(f.values()) == set(range(1, k + 1))]
+        fams = [[rng.randrange(1, k + 1) for _ in V] for _ in range(r)]
+        if covered(1 << (np.array(fams, np.int64) - 1)):
+            return [dict(zip(V, f)) for f in fams if len(set(f)) == k]
     raise RuntimeError("retry budget exhausted while building surjection family")
+
+
+def _prime_power(s: int, max_exponent: int) -> tuple[int, int] | None:
+    """(p, e) with s = p^e for a prime p and 1 <= e <= max_exponent, or None."""
+    for e in range(max_exponent, 0, -1):
+        p = _iroot(s, e)
+        if p ** e == s and factorize(p) == [(p, 1)]:
+            return p, e
+    return None
+
+
+def _iroot(s: int, e: int) -> int:
+    """floor(s^(1/e)) for e >= 1, exactly (Newton's method in integers)."""
+    if s < 2:
+        return max(s, 0)
+    x = 1 << -(-s.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + s // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -348,50 +394,87 @@ class CoprimePowerPart:
     members: tuple[int, ...]
 
     def validate(self, max_exponent: int) -> None:
-        union = []
-        for S in self.factors:
-            for s in S:
-                fact = factorize(s)
-                if len(fact) != 1 or fact[0][1] > max_exponent:
-                    raise AssertionError(f"{s} is not an admissible prime power")
-            union.extend(S)
-        for i in range(len(union)):
-            for j in range(i + 1, len(union)):
-                if math.gcd(union[i], union[j]) != 1:
-                    raise AssertionError("factor sets are not pairwise coprime")
-        prime_to_slot = {}
+        # the prime of every factor, and the slot and the power it comes with
+        slot_of, power_of = {}, {}
+        primes = []
         for j, S in enumerate(self.factors):
             for s in S:
-                prime_to_slot[factorize(s)[0][0]] = j
+                pe = _prime_power(s, max_exponent)
+                if pe is None:
+                    raise AssertionError(f"{s} is not an admissible prime power")
+                primes.append(pe[0])
+                slot_of[pe[0]], power_of[pe[0]] = j, s
+        # prime powers are coprime iff their primes differ
+        if len(set(primes)) != len(primes):
+            raise AssertionError("factor sets are not pairwise coprime")
+        primes.sort()
+        every_slot = set(range(self.k))
         for m in self.members:
-            slots = set()
-            for p, e in factorize(m):
-                pe = p ** e
-                j = prime_to_slot.get(p)
-                if j is None or pe not in self.factors[j]:
-                    raise AssertionError(f"{m} does not factor through the witness")
-                slots.add(j)
-            if slots != set(range(self.k)):
+            # divide m by the class's own primes; anything left over is a
+            # prime from outside the class
+            rest, slots, through = m, set(), True
+            for p in primes:
+                if rest < 2:
+                    break
+                if rest % p:
+                    continue
+                pe = p
+                rest //= p
+                while rest % p == 0:
+                    pe *= p
+                    rest //= p
+                through = through and pe == power_of[p]
+                slots.add(slot_of[p])
+            if not through or rest > 1:
+                raise AssertionError(f"{m} does not factor through the witness")
+            if slots != every_slot:
                 raise AssertionError(f"{m} misses a factor slot")
 
 
-def enumerate_power_products(V: Sequence[int], D: int,
-                             cap: int = 5_000_000) -> list[int]:
-    """All products of 1..D distinct primes of V at exponents 1..D, plus 1."""
-    from itertools import combinations
+def _factor_keys(codes: np.ndarray, base: int) -> np.ndarray:
+    """The key of each row of prime-power codes: its codes in increasing order,
+    as the digits of a number in base ``base``."""
+    codes = np.sort(codes, axis=1)
+    place = np.array([base ** j for j in range(codes.shape[1])], codes.dtype)
+    return (codes * place).sum(axis=1)
 
+
+def _power_products(V: Sequence[int], D: int,
+                    cap: int = DEFAULT_PRODUCT_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """1 and every product of 1..D distinct primes of V at exponents 1..D, in
+    increasing order, with the factorization key of each.
+
+    The products are int64 while the largest is below 2^62 and Python integers
+    (object dtype) above.  The prime power V[i]^e has the code D*i + e, and a
+    product the ``_factor_keys`` key of its codes, in base D*len(V) + 1:
+    distinct products have distinct keys, which stay small integers however
+    large the products grow.
+    """
     est = sum(math.comb(len(V), k) * D ** k for k in range(1, D + 1)) + 1
     if est > cap:
         raise BudgetError("power product enumeration cap", est, cap)
-    out = {1}
-    for k in range(1, D + 1):
-        for primes in combinations(sorted(V), k):
-            for exps in product(range(1, D + 1), repeat=k):
-                v = 1
-                for p, e in zip(primes, exps):
-                    v *= p ** e
-                out.add(v)
-    return sorted(out)
+    V = sorted(V)
+    n, k_max = len(V), min(D, len(V))
+    base = D * n + 1
+    powers = _exact_array([[p ** e for e in range(1, D + 1)] for p in V],
+                          math.prod(V[-D:]) ** D if V else 1).reshape(n, D)
+    codes = _exact_array(range(1, D * n + 1), base ** k_max).reshape(n, D)
+    values, keys = [np.ones(1, powers.dtype)], [np.zeros(1, codes.dtype)]
+    for k in range(1, k_max + 1):
+        combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                             np.intp).reshape(-1, k)
+        for exps in product(range(D), repeat=k):
+            values.append(np.multiply.reduce(powers[combos, exps], axis=1))
+            keys.append(_factor_keys(codes[combos, exps], base))
+    values, keys = np.concatenate(values), np.concatenate(keys)
+    order = np.argsort(values)
+    return values[order], keys[order]
+
+
+def enumerate_power_products(V: Sequence[int], D: int,
+                             cap: int = DEFAULT_PRODUCT_CAP) -> list[int]:
+    """All products of 1..D distinct primes of V at exponents 1..D, plus 1."""
+    return _power_products(V, D, cap)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -437,47 +520,55 @@ def partition_coprime_products(N: int, rho: float, seed: int = 2024) -> Partitio
     Construction: for every factor count k <= D, a separating family of
     functions V -> {1..k} splits the primes into slots; each slot pattern of
     exponents gives one class.  The resulting cover is canonicalized into a
-    partition by first-class-wins assignment (subsets keep the witness).
-    The class count is O(log N) for fixed rho.
+    partition by first-class-wins assignment (subsets keep the witness): a
+    bitmap over the sorted universe of admissible products marks what earlier
+    classes took, and a class finds its products there by their
+    factorization keys.  The class count is O(log N) for fixed rho.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
     cfg = DenominatorConfig.for_rho(rho)
     V = prime_window(N, rho)
-    universe = enumerate_power_products(V, cfg.D)
-    assigned: set[int] = set()
+    universe, keys = _power_products(V, cfg.D)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    base = cfg.D * len(V) + 1
+    code = {p: cfg.D * i for i, p in enumerate(V)}    # p^e has the code code[p] + e
+    taken = np.zeros(len(universe), bool)
+    outside = False       # a class product missing from the universe
     parts: list[CoprimePowerPart] = []
 
-    # the k = 0 class: just {1}
+    # the k = 0 class: just {1}, the least product
     parts.append(CoprimePowerPart(0, (), (1,)))
-    assigned.add(1)
+    taken[0] = True
 
     for k in range(1, cfg.D + 1):
         if len(V) < k:
             break
         fams = surjection_family(V, k, seed=seed + k)
-        for i, f in enumerate(fams):
+        for f in fams:
             slots = [sorted(p for p in V if f[p] == j + 1) for j in range(k)]
             if any(not s for s in slots):
                 continue
             for exps in product(range(1, cfg.D + 1), repeat=k):
                 factors = tuple(frozenset(p ** exps[j] for p in slots[j])
                                 for j in range(k))
-                members = []
-                for combo in product(*[sorted(S) for S in factors]):
-                    v = 1
-                    for c in combo:
-                        v *= c
-                    if v not in assigned:
-                        members.append(v)
-                if not members:
+                # the keys of the products of one prime power from each slot
+                grid = np.meshgrid(*[np.array([code[p] + e for p in slot], keys.dtype)
+                                     for slot, e in zip(slots, exps)], indexing="ij")
+                wanted = _factor_keys(np.stack(grid, -1).reshape(-1, k), base)
+                at = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
+                found = sorted_keys[at] == wanted
+                outside = outside or not found.all()
+                at = by_key[at[found]]
+                at = np.unique(at[~taken[at]])
+                if not len(at):
                     continue
-                members = tuple(sorted(set(members)))
-                assigned.update(members)
-                parts.append(CoprimePowerPart(k, factors, members))
+                taken[at] = True
+                parts.append(CoprimePowerPart(k, factors, tuple(universe[at].tolist())))
 
-    if assigned != set(universe):
-        missing = sorted(set(universe) - assigned)[:5]
+    if outside or not taken.all():
+        missing = universe[~taken][:5].tolist()
         raise AssertionError(f"cover failed to reach a partition; missing {missing}")
     return PartitionResult(N, rho, cfg.D, tuple(parts), len(universe))
 

@@ -16,6 +16,8 @@ flag and the two are never mixed inside one vector.
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -23,6 +25,8 @@ from numbers import Integral
 from typing import Iterator, Sequence, Union
 
 import numpy as np
+
+from .errors import PreconditionError
 
 Scalar = Union[int, float, Fraction]
 
@@ -107,7 +111,7 @@ def canonical_map(x: Sequence[int], gammas: MultiIndexSet) -> tuple[int, ...]:
     """
     if len(x) != gammas.k:
         raise ValueError(f"point has length {len(x)}, expected k={gammas.k}")
-    xs = tuple(int(c) for c in x)
+    xs = _integers(x)
     out = []
     for g in gammas.members:
         v = 1
@@ -118,17 +122,31 @@ def canonical_map(x: Sequence[int], gammas: MultiIndexSet) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _integers(values) -> list[int]:
+    """``values`` as Python integers.  A value that is not an integer (a
+    float, even an integral one, a Fraction, a string) raises
+    ``PreconditionError`` instead of being truncated."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise PreconditionError("coordinates must be integers") from None
+
+
 def integer_rows(points, k: int) -> np.ndarray:
     """The integer points ``points`` as an (n, k) array: int64 while every
     coordinate is below 2^62 in magnitude, so that a sum of two cannot
-    overflow, and Python integers (object dtype) otherwise."""
+    overflow, and Python integers (object dtype) otherwise.  A coordinate
+    that is not an integer raises ``PreconditionError``."""
+    y = np.empty(len(points) * k, np.int64)
     try:
-        y = np.fromiter(chain.from_iterable(points), np.int64, len(points) * k)
+        # struct packs integers only (by __index__) and refuses any beyond int64
+        struct.pack_into(f"{y.size}q", y, 0, *chain.from_iterable(points))
         if not y.size or -2 ** 62 < y.min() and y.max() < 2 ** 62:
             return y.reshape(len(points), k)
-    except OverflowError:
+    except struct.error:
         pass
-    return np.array(points, dtype=object).reshape(len(points), k)
+    return np.array(_integers(chain.from_iterable(points)),
+                    dtype=object).reshape(len(points), k)
 
 
 def monomial_images(points, monomials: Sequence[Sequence[int]]) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .lattice import ConvexBody, dyadic_radius, gauge_groups, lattice_points
-from .multiindex import MultiIndexSet, integer_rows, monomial_images
+from .multiindex import MultiIndexSet, _integers, integer_rows, monomial_images
 from .variation import PathField, jump_seminorm, r_variation
 from .expsums import IntegerPolynomial
 
@@ -42,7 +42,8 @@ class LatticeFunction:
     """Finitely supported complex function on an integer lattice.
 
     Zero values are pruned; iteration order is lexicographic in the site, so
-    serialized output is byte-stable.
+    serialized output is byte-stable.  A site coordinate that is not an
+    integer raises ``PreconditionError``.
     """
 
     __slots__ = ("dim", "_data")
@@ -52,7 +53,7 @@ class LatticeFunction:
         self._data: dict[tuple[int, ...], complex] = {}
         if data:
             for x, v in data.items():
-                self[tuple(int(c) for c in x)] = complex(v)
+                self[x] = complex(v)
 
     @classmethod
     def delta(cls, dim: int, site: Sequence[int] | None = None) -> "LatticeFunction":
@@ -63,7 +64,7 @@ class LatticeFunction:
         return self._data.get(tuple(x), 0j)
 
     def __setitem__(self, x, v: complex) -> None:
-        x = tuple(x)
+        x = tuple(_integers(x))
         if len(x) != self.dim:
             raise ValueError("site has wrong dimension")
         if v == 0:
@@ -508,6 +509,8 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
     """
     if not 0 < tau <= 1:
         raise PreconditionError("tau must lie in (0, 1]")
+    if n_max < 0:
+        raise PreconditionError("n_max must be >= 0")
     if flavor not in ("averaging", "singular"):
         raise ValueError("flavor must be 'averaging' or 'singular'")
     if flavor == "singular" and cz is None:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radonlab import (FrequencyVector, MultiIndexSet, anisotropic_dilate,
-                      canonical_map, full_degree_set, quasi_norm)
-from radonlab.multiindex import monomial_images
+from radonlab import (FrequencyVector, MultiIndexSet, PreconditionError,
+                      anisotropic_dilate, canonical_map, full_degree_set, quasi_norm)
+from radonlab.multiindex import integer_rows, monomial_images
 
 
 def test_canonical_map_monomials():
@@ -137,3 +137,25 @@ def test_monomial_images_equal_canonical_map(case):
     assert [tuple(r) for r in got.tolist()] == [canonical_map(y, gammas) for y in points]
     top = max((abs(c) for y in points for c in y), default=0)
     assert (got.dtype == np.int64) == (top ** gammas.max_degree < 2 ** 62)
+
+
+@pytest.mark.parametrize("point", [(1.5,), (2.0,), (Fraction(3, 2),), ("3",),
+                                   (np.float64(2.7),)])
+def test_non_integer_coordinates_are_refused(point):
+    # no coordinate is truncated to an integer, not even an integral float
+    gammas = full_degree_set(1, 2)
+    with pytest.raises(PreconditionError):
+        canonical_map(point, gammas)
+    with pytest.raises(PreconditionError):
+        monomial_images([(1,), point], gammas.members)
+    with pytest.raises(PreconditionError):
+        monomial_images([(2 ** 70,), point], gammas.members)   # the Python-integer path
+
+
+def test_non_integer_array_is_refused():
+    with pytest.raises(PreconditionError):
+        monomial_images(np.array([[1.5], [2.7]]), list(full_degree_set(1, 2)))
+    with pytest.raises(PreconditionError):
+        integer_rows(np.array([[1.0, 2.0]]), 2)
+    # numpy integers are integers, and come back as exact images
+    assert monomial_images(np.array([[3], [-4]]), [(1,), (2,)]).tolist() == [[3, 9], [-4, 16]]

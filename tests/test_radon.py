@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,3 +264,20 @@ def test_lattice_function_text_roundtrip():
 def test_lattice_function_prunes_zeros():
     f = LatticeFunction(1, {(0,): 0.0, (2,): 1.0})
     assert len(f) == 1
+
+
+@pytest.mark.parametrize("site", [(1.5,), (2.0,), (Fraction(1, 2),), ("2",)])
+def test_lattice_function_refuses_non_integer_sites(site):
+    with pytest.raises(PreconditionError, match="coordinates must be integers"):
+        LatticeFunction(1, {site: 1.0})
+    f = LatticeFunction(1)
+    with pytest.raises(PreconditionError, match="coordinates must be integers"):
+        f[site] = 1.0
+    assert len(f) == 0
+
+
+def test_lattice_function_stores_python_integer_sites():
+    f = LatticeFunction(2, {(np.int64(3), 1): 1.0})
+    f[(np.int32(-1), 2)] = 2.0
+    assert f.sites() == [(-1, 2), (3, 1)]
+    assert all(type(c) is int for x in f.sites() for c in x)

@@ -377,3 +377,12 @@ def test_block_report_scale_guard():
     with pytest.raises(PreconditionError):
         kernel_block_variation_report(euclidean_ball(1), full_degree_set(1, 1),
                                       "averaging", 0.5, 2 ** 20)
+
+
+@pytest.mark.parametrize("n_max", [-1, -2, -5])
+def test_block_report_negative_block_count(n_max):
+    # (n_max + 1) ** tau is complex below -1, and n_max = -1 has no blocks
+    for flavor in ("averaging", "singular"):
+        with pytest.raises(PreconditionError):
+            kernel_block_variation_report(euclidean_ball(1), full_degree_set(1, 2),
+                                          flavor, 0.5, n_max, cz=cz_inverse(euclidean_ball(1)))
