@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice, permutations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,14 +122,68 @@ def _small_cutoff(rho: float, D: int, run: int = 64) -> int:
     """Least N such that the product-branch inequality holds from N onward.
 
     The defining comparison mixes irrational powers, so it is evaluated in
-    floating point; a run of consecutive successes guards the boundary.
+    floating point; a run of consecutive successes guards the boundary.  The
+    inequality fails at N = 1 and changes sign once above, so its crossing is
+    found by doubling and bisection, and the run is sought from just below it.
     """
-    N = 1
-    while True:
-        if _product_branch_holds(N, rho, D) and all(
-                _product_branch_holds(M, rho, D) for M in range(N, N + run)):
-            return N
+    hi = 1
+    while not _product_branch_holds(hi, rho, D):
+        hi *= 2
+        if hi > 2 ** 53:
+            raise BudgetError("denominator small cutoff", hi, 2 ** 53)
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _product_branch_holds(mid, rho, D) else (mid, hi)
+    N = max(1, hi - run)
+    while not all(_product_branch_holds(M, rho, D) for M in range(N, N + run)):
         N += 1
+    return N
+
+
+class _Witness(Mapping):
+    """Read-only map from each member to its (divisor, smooth) factorization:
+    ``order`` sorts the divisor-major products into ``sorted_products``, and
+    iteration runs in divisor-major order over the members' own integers."""
+
+    __slots__ = ("_sorted", "_order", "_divisors", "_smooth", "_members")
+
+    def __init__(self, sorted_products, order, divisors, smooth, members):
+        self._sorted, self._order = sorted_products, order
+        self._divisors, self._smooth, self._members = divisors, smooth, members
+
+    def __getitem__(self, m):
+        hash(m)                  # an unhashable key is a TypeError, as in a dict
+        try:
+            j = int(np.searchsorted(self._sorted, m))
+        except TypeError:        # not comparable with the integers
+            raise KeyError(m) from None
+        if j == len(self._members) or self._members[j] != m:
+            raise KeyError(m)
+        i, S = int(self._order[j]), len(self._smooth)
+        return self._divisors[i // S], self._smooth[i % S]
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self):
+        at = np.empty_like(self._order)
+        at[self._order] = np.arange(len(at))
+        return map(self._members.__getitem__, at.tolist())
+
+    def items(self):
+        return _WitnessItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _WitnessItems(ItemsView):
+    """The witness's items in one pass, without a search per member."""
+
+    def __iter__(self):
+        w = self._mapping
+        return zip(w, product(w._divisors, w._smooth))
 
 
 @dataclass(frozen=True)
@@ -135,8 +191,9 @@ class DenominatorSet:
     """The structured denominator set at resolution N.
 
     ``branch`` is "small" (members are 1..N) or "product" (divisors of Q0
-    times window-smooth numbers <= N); ``witness`` maps each member to its
-    unique (divisor, smooth) factorization in the product branch.
+    times window-smooth numbers <= N); ``witness`` is a read-only mapping
+    from each member to its unique (divisor, smooth) factorization in the
+    product branch, and empty in the small branch.
     """
 
     N: int
@@ -146,7 +203,7 @@ class DenominatorSet:
     window: tuple[int, ...]
     smooth: tuple[int, ...]
     members: tuple[int, ...]
-    witness: dict
+    witness: Mapping
 
     def __len__(self) -> int:
         return len(self.members)
@@ -166,17 +223,14 @@ class DenominatorSet:
         return self.members[-1]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "N": self.N,
-            "rho": self.config.rho,
-            "D": self.config.D,
-            "small_cutoff": self.config.small_cutoff,
-            "branch": self.branch,
-            "Q0": str(self.Q0),
-            "window": list(self.window),
-            "smooth": list(self.smooth),
-            "members": [str(m) for m in self.members],
-        }, indent=1)
+        head = {"N": self.N, "rho": self.config.rho, "D": self.config.D,
+                "small_cutoff": self.config.small_cutoff, "branch": self.branch,
+                "Q0": str(self.Q0)}
+        lists = {"window": map(str, self.window), "smooth": map(str, self.smooth),
+                 "members": [f'"{m}"' for m in self.members]}
+        return _json_block([f'"{k}": {json.dumps(v)}' for k, v in head.items()]
+                           + [f'"{k}": {_json_block(v, 1)}' for k, v in lists.items()],
+                           0, "{}")
 
     @classmethod
     def from_json(cls, text: str) -> "DenominatorSet":
@@ -185,6 +239,17 @@ class DenominatorSet:
         return cls(obj["N"], cfg, obj["branch"], int(obj["Q0"]),
                    tuple(obj["window"]), tuple(obj["smooth"]),
                    tuple(int(m) for m in obj["members"]), {})
+
+
+def _json_block(items, depth: int, brackets: str = "[]") -> str:
+    """What ``json.dumps(..., indent=1)`` writes for an array (with
+    ``brackets="{}"``, an object) nested ``depth`` deep, from the JSON text of
+    each element (of each ``"key": value`` member)."""
+    items = list(items)
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
 
 
 def _divisors_from_factorization(fact: list[tuple[int, int]]) -> list[int]:
@@ -233,23 +298,18 @@ def build_denominator_set(N: int, rho: float,
         if n_divisors * len(smooth) > member_cap:
             raise BudgetError("denominator member cap",
                               n_divisors * len(smooth), member_cap)
-        divisors = _divisors_from_factorization(fact)
+        divisors, smooth = tuple(_divisors_from_factorization(fact)), tuple(smooth)
         top = Q0 * smooth[-1]
         prods = np.multiply.outer(_exact_array(divisors, top),
                                   _exact_array(smooth, top)).ravel()
         order = np.argsort(prods)
-        keys = prods.astype(object)
-        del prods
-        # the unique (divisor, smooth) factorization of each member, inserted
-        # divisor by divisor
-        witness = dict(zip(keys, product(divisors, smooth)))
-        if len(witness) != len(keys):
+        prods = prods[order]
+        # distinct products are the unique (divisor, smooth) factorizations
+        if not (prods[1:] > prods[:-1]).all():
             raise AssertionError("a member factors in two ways")
-        keys = keys[order]
-        del order              # freed before the tuple: a lower peak RSS
-        members = tuple(keys)
-        ds = DenominatorSet(N, cfg, "product", Q0, window, tuple(smooth),
-                            members, witness)
+        members = tuple(prods.tolist())
+        ds = DenominatorSet(N, cfg, "product", Q0, window, smooth, members,
+                            _Witness(prods, order, divisors, smooth, members))
 
     # structural checks; the members are sorted and distinct
     if ds.members[:N] != tuple(range(1, N + 1)):
@@ -490,17 +550,15 @@ class PartitionResult:
         return len(self.parts)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "N": self.N,
-            "rho": self.rho,
-            "D": self.D,
-            "universe_size": self.universe_size,
-            "parts": [{
-                "k": p.k,
-                "factor_sets": [sorted(S) for S in p.factors],
-                "members": list(p.members),
-            } for p in self.parts],
-        }, indent=1)
+        head = {"N": self.N, "rho": self.rho, "D": self.D,
+                "universe_size": self.universe_size}
+        parts = [_json_block([
+            f'"k": {json.dumps(p.k)}',
+            f'"factor_sets": {_json_block([_json_block(map(str, sorted(S)), 4) for S in p.factors], 3)}',
+            f'"members": {_json_block(map(str, p.members), 3)}'], 2, "{}")
+            for p in self.parts]
+        return _json_block([f'"{k}": {json.dumps(v)}' for k, v in head.items()]
+                           + [f'"parts": {_json_block(parts, 1)}'], 0, "{}")
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionResult":
@@ -580,10 +638,7 @@ def partition_coprime_products(N: int, rho: float, seed: int = 2024) -> Partitio
 
 def has_uniqueness_property(seq: Sequence) -> bool:
     """True iff some element of the sequence occurs exactly once."""
-    counts: dict = {}
-    for x in seq:
-        counts[x] = counts.get(x, 0) + 1
-    return any(c == 1 for c in counts.values())
+    return 1 in Counter(seq).values()
 
 
 def kappa_coloring(pairs: Sequence[tuple]) -> list[int]:
@@ -603,16 +658,8 @@ def kappa_coloring(pairs: Sequence[tuple]) -> list[int]:
     # regularize multiplicities to exactly 2 by splitting off fresh symbols
     work = [list(pr) for pr in pairs]
     fresh = 0
-
-    def multiplicities():
-        c: dict = {}
-        for pr in work:
-            for v in pr:
-                c[v] = c.get(v, 0) + 1
-        return c
-
     while True:
-        counts = multiplicities()
+        counts = Counter(v for pr in work for v in pr)
         heavy = [v for v, c in counts.items() if c >= 3]
         if not heavy:
             break
@@ -667,8 +714,6 @@ class SplittingCheck:
 def l1_lr_inequality_check(a: Sequence, r: int, cap: int = 10 ** 6) -> SplittingCheck:
     """Exact check of (sum a)^r <= (r(r-1))^(r-1) sum a_i^r + 2 sum over
     pairwise-distinct index tuples of a_{i1} ... a_{ir}."""
-    from itertools import permutations
-
     vals = [Fraction(x) for x in a]
     if any(v < 0 for v in vals):
         raise PreconditionError("entries must be non-negative")
@@ -679,11 +724,7 @@ def l1_lr_inequality_check(a: Sequence, r: int, cap: int = 10 ** 6) -> Splitting
         raise BudgetError("splitting inequality term cap", n ** r, cap)
     lhs = sum(vals, Fraction(0)) ** r
     diag = Fraction((r * (r - 1)) ** (r - 1)) * sum((v ** r for v in vals), Fraction(0))
-    off = Fraction(0)
-    for idx in permutations(range(n), r):
-        prod_ = Fraction(1)
-        for i in idx:
-            prod_ *= vals[i]
-        off += prod_
+    off = sum((math.prod(vals[i] for i in idx) for idx in permutations(range(n), r)),
+              Fraction(0))
     rhs = diag + 2 * off
     return SplittingCheck(lhs, rhs, lhs <= rhs)

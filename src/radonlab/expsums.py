@@ -24,6 +24,8 @@ from .lattice import ConvexBody, lattice_points
 from .multiindex import MultiIndexSet, degree
 
 DEFAULT_SUMMAND_CAP = 10 ** 9
+# summands one step of ``gauss_sum`` holds at once
+_GAUSS_BLOCK = 1 << 16
 
 
 def unit_phase(x: float) -> complex:
@@ -221,9 +223,13 @@ def gauss_sum(point: RationalPoint, gammas: MultiIndexSet, k: int,
     q = point.q
     if q ** k > cap:
         raise BudgetError("gauss sum summand cap", q ** k, cap)
-    r = np.indices((q,) * k).reshape(k, -1).T + 1
-    counts = np.bincount(phase_numerators(r, gammas.members, point.numerators, q),
-                         minlength=q)
+    # the exact residue counts, accumulated over blocks of the summands
+    counts = np.zeros(q, np.int64)
+    for start in range(0, q ** k, _GAUSS_BLOCK):
+        flat = np.arange(start, min(start + _GAUSS_BLOCK, q ** k))
+        r = np.stack(np.unravel_index(flat, (q,) * k), axis=1) + 1
+        counts += np.bincount(phase_numerators(r, gammas.members, point.numerators, q),
+                              minlength=q)
     return complex(np.dot(counts, _root_table(q))) / q ** k
 
 

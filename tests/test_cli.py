@@ -131,3 +131,12 @@ def test_iw_build_refuses_oversized_set_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert "denominator member cap" in capsys.readouterr().err
     assert not (tmp_path / "denominator-set.json").exists()
+
+
+@pytest.mark.parametrize("rho, code", [("0.3", 0), ("0.01", 3)])
+def test_iw_build_small_rho_ends_at_once(tmp_path, capsys, rho, code):
+    # the small cutoff lies near 1.3e8 at rho = 0.3 and past 2^53 at 0.01
+    start = time.perf_counter()
+    assert run(tmp_path, "iw-build", "--N", "10", "--rho", rho) == code
+    assert time.perf_counter() - start < 2.0
+    assert ("denominator small cutoff" in capsys.readouterr().err) == (code == 3)

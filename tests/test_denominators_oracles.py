@@ -1,16 +1,19 @@
 """The array path of the denominator layer against the loops it replaced.
 
-The oracles below are the former library loops: smooth numbers by trial
-division and members by a product loop into a dictionary, power products by
-nested loops into a set, the partition by first-class-wins assignment into a
-set, the separation audit one subset at a time, and ``validate`` by
-trial-division ``factorize``.  The array path builds the same integers, so
-every JSON artifact, every witness (in insertion order) and every accept or
-reject, with its message, must be equal.
+The oracles below are the former library loops: the small cutoff by a
+linear scan, smooth numbers by trial division and members by a product loop
+into a dictionary (the former ``witness``), the JSON writers by ``json.dumps``
+with ``indent=1``, power products by nested loops into a set, the partition
+by first-class-wins assignment into a set, the separation audit one subset at
+a time, and ``validate`` by trial-division ``factorize``.  The array path builds the same integers, so
+every JSON artifact, every witness (in insertion order, and as a mapping)
+and every accept or reject, with its message, must be equal.
 """
 
+import json
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -28,6 +31,15 @@ from radonlab.denominators import (CoprimePowerPart, DenominatorSet,
 from radonlab.expsums import factorize
 
 # -- oracles: the former library loops -----------------------------------------------
+
+
+def small_cutoff_oracle(rho, D, run=64):
+    N = 1
+    while True:
+        if dn._product_branch_holds(N, rho, D) and all(
+                dn._product_branch_holds(M, rho, D) for M in range(N, N + run)):
+            return N
+        N += 1
 
 
 def build_oracle(N, rho):
@@ -55,6 +67,34 @@ def build_oracle(N, rho):
             witness[d * s] = (d, s)
     return DenominatorSet(N, cfg, "product", Q0, window, tuple(smooth),
                           tuple(sorted(witness)), witness)
+
+
+def denominator_json_oracle(ds):
+    return json.dumps({
+        "N": ds.N,
+        "rho": ds.config.rho,
+        "D": ds.config.D,
+        "small_cutoff": ds.config.small_cutoff,
+        "branch": ds.branch,
+        "Q0": str(ds.Q0),
+        "window": list(ds.window),
+        "smooth": list(ds.smooth),
+        "members": [str(m) for m in ds.members],
+    }, indent=1)
+
+
+def partition_json_oracle(res):
+    return json.dumps({
+        "N": res.N,
+        "rho": res.rho,
+        "D": res.D,
+        "universe_size": res.universe_size,
+        "parts": [{
+            "k": p.k,
+            "factor_sets": [sorted(S) for S in p.factors],
+            "members": list(p.members),
+        } for p in res.parts],
+    }, indent=1)
 
 
 def power_products_oracle(V, D):
@@ -178,8 +218,9 @@ def outcome(check, *args):
 @example(260, 0.75)
 def test_build_equals_oracle(N, rho):
     want, got = build_oracle(N, rho), build_denominator_set(N, rho)
-    assert got.to_json() == want.to_json()
+    assert got.to_json() == denominator_json_oracle(want)
     assert list(got.witness.items()) == list(want.witness.items())
+    assert repr(got) == repr(want)
     # the members are the witness keys themselves, in sorted order
     assert all(a is b for a, b in zip(got.members, sorted(got.witness)))
 
@@ -190,8 +231,9 @@ def test_build_beyond_int64_equals_oracle():
     got = build_denominator_set(N, rho)
     assert got.Q0 * got.smooth[-1] >= 2 ** 62
     want = build_oracle(N, rho)
-    assert got.to_json() == want.to_json()
+    assert got.to_json() == denominator_json_oracle(want)
     assert list(got.witness.items()) == list(want.witness.items())
+    assert repr(got) == repr(want)
 
 
 def test_product_branch_rho_three_quarters():
@@ -209,7 +251,7 @@ def test_product_branch_rho_three_quarters():
         assert ds.lcm() == lcm_first_n(N)
         if N % 12 == 0:
             want = build_oracle(N, 0.75)
-            assert ds.to_json() == want.to_json()
+            assert ds.to_json() == denominator_json_oracle(want)
             assert list(ds.witness.items()) == list(want.witness.items())
         prev = mset
 
@@ -217,6 +259,116 @@ def test_product_branch_rho_three_quarters():
 def test_build_member_cap_unchanged():
     with pytest.raises(BudgetError):
         build_denominator_set(200, 1.0, member_cap=100_000)
+
+
+# -- the witness view ----------------------------------------------------------------
+
+
+def _lookup(mapping, key):
+    """mapping[key], or the type of the exception the lookup raises."""
+    try:
+        return mapping[key]
+    except (KeyError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 240), st.sampled_from([0.75, 1.0])),
+                 # Python-integer members from N = 46 on; above it the cap
+                 st.tuples(st.integers(1, 46), st.just(1.95))),
+       st.lists(st.integers(-3, 2 ** 70), max_size=20))
+@example((46, 1.95), [2 ** 63, 2 ** 64 + 1])
+@example((200, 1.0), [177_120, 2 ** 62])
+@example((10, 1.0), [])
+def test_witness_view_equals_dict(case, probes):
+    N, rho = case
+    got, want = build_denominator_set(N, rho).witness, build_oracle(N, rho).witness
+    assert len(got) == len(want)
+    assert list(got) == list(want)
+    assert list(got.items()) == list(want.items())
+    assert list(got.keys()) == list(want.keys())
+    assert list(got.values()) == list(want.values())
+    assert got == want and want == got
+    assert repr(got) == repr(want)
+    members = list(want)
+    keys = (members[::max(1, len(members) // 40)] + members[-1:] + probes
+            + [0, -1, N + 1, 2 ** 70, -2 ** 70, 1.0, 2.5, float("nan"), "1", None, True])
+    keys += [np.int64(k) for k in keys
+             if type(k) is int and -2 ** 63 <= k < 2 ** 63]
+    keys += [np.uint64(k) for k in keys if type(k) is int and 0 <= k < 2 ** 64]
+    for key in keys:
+        assert _lookup(got, key) == _lookup(want, key)
+        assert (key in got) == (key in want)
+        assert got.get(key, "absent") == want.get(key, "absent")
+    with pytest.raises(TypeError):
+        got[[1]]               # unhashable, as in a dict
+
+
+def test_witness_is_read_only():
+    w = build_denominator_set(40, 1.0).witness
+    with pytest.raises(TypeError):
+        w[1] = (1, 1)
+    with pytest.raises(AttributeError):
+        w.update({1: (1, 1)})
+
+
+# -- JSON writers ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N, rho", [
+    (1, 1.0),        # no window prime
+    (10, 1.0),       # small branch: smooth is empty
+    (40, 1.0),       # product branch
+    (202, 0.75),
+    (46, 1.95),      # product branch beyond int64
+])
+def test_denominator_json_equals_json_dumps(N, rho):
+    ds = build_denominator_set(N, rho)
+    assert ds.to_json() == denominator_json_oracle(ds)
+    assert DenominatorSet.from_json(ds.to_json()).to_json() == ds.to_json()
+
+
+def test_partition_json_equals_json_dumps():
+    only_k0 = PartitionResult(2, 1.0, 2, (CoprimePowerPart(0, (), (1,)),), 1)
+    empty = PartitionResult(2, 1.0, 2, (), 0)
+    for res in (only_k0, empty, partition_coprime_products(2, 1.0),
+                partition_coprime_products(64, 1.0), partition_coprime_products(150, 0.75)):
+        assert res.to_json() == partition_json_oracle(res)
+        assert PartitionResult.from_json(res.to_json()).to_json() == res.to_json()
+
+
+# -- small cutoff ----------------------------------------------------------------------
+
+
+def _D(rho):
+    return math.ceil(Fraction(2) / Fraction(rho))
+
+
+@pytest.mark.parametrize("rho", [1.99, 1.95, 1.9, 1.5, 1.25, 1.0, 0.9, 0.8, 0.75,
+                                 0.7, 0.6, 0.55, 0.5, 0.45, 0.4])
+def test_small_cutoff_equals_linear_scan(rho):
+    assert dn._small_cutoff(rho, _D(rho)) == small_cutoff_oracle(rho, _D(rho))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.45, 1.99))
+def test_small_cutoff_equals_linear_scan_anywhere(rho):
+    assert dn._small_cutoff(rho, _D(rho)) == small_cutoff_oracle(rho, _D(rho))
+
+
+@pytest.mark.parametrize("rho, cutoff", [(0.35, 3917543), (0.3, 131457181),
+                                         (0.2, 47618219071015)])
+def test_small_cutoff_beyond_the_linear_scan(rho, cutoff):
+    # the linear scan would take hours to years here: check the run itself
+    assert DenominatorConfig.for_rho(rho).small_cutoff == cutoff
+    holds = [dn._product_branch_holds(M, rho, _D(rho)) for M in range(cutoff - 64, cutoff + 64)]
+    assert all(holds[64:]) and not any(holds[:64])
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.01, 1e-9])
+def test_small_cutoff_past_two_to_the_53_is_refused(rho):
+    with pytest.raises(BudgetError, match="denominator small cutoff"):
+        DenominatorConfig.for_rho(rho)
 
 
 # -- power products -----------------------------------------------------------------
@@ -265,7 +417,7 @@ def test_power_product_cap_unchanged():
 @example(64, 1.0, 7)
 def test_partition_equals_oracle(N, rho, seed):
     assert (partition_coprime_products(N, rho, seed).to_json()
-            == partition_oracle(N, rho, seed).to_json())
+            == partition_json_oracle(partition_oracle(N, rho, seed)))
 
 
 # -- separation audit ---------------------------------------------------------------

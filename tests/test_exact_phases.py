@@ -9,6 +9,7 @@ order, so its results must be equal to theirs, not merely close.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +23,7 @@ from radonlab import (IntegerPolynomial, MultiIndexSet, RationalPoint, cube,
                       ellipsoid, euclidean_ball, full_degree_set, gauss_decay_scan,
                       gauss_sum, lattice_points, multiplier_breakpoint_profile,
                       unit_phase, weyl_sum)
+import radonlab.expsums as ex
 from radonlab.expsums import factorize, phase_numerators
 from radonlab.multiindex import canonical_map, degree
 from radonlab.multipliers import _halfwidth, _xi_entries
@@ -217,6 +219,33 @@ def test_gauss_sum_equals_oracle():
         for q in qs:
             pt = RationalPoint.make([rng.randrange(q) for _ in gammas.members], q)
             assert gauss_sum(pt, gammas, k) == gauss_sum_oracle(pt, gammas, k)
+
+
+def test_gauss_sum_blocks_equal_one_block(monkeypatch):
+    # the residue counts are exact integers, so any blocking gives the same sum
+    rng = random.Random(72)
+    for gammas, k, q in ((G12, 1, 37), (G22, 2, 13),
+                         (MultiIndexSet.from_indices(3, [(1, 1, 1), (2, 0, 1)]), 3, 8)):
+        pt = RationalPoint.make([rng.randrange(q) for _ in gammas.members], q)
+        monkeypatch.setattr(ex, "_GAUSS_BLOCK", q ** k)
+        whole = gauss_sum(pt, gammas, k)
+        for block in (1, 2, 7, q, q ** k - 1, q ** k + 1):
+            monkeypatch.setattr(ex, "_GAUSS_BLOCK", block)
+            assert gauss_sum(pt, gammas, k) == whole
+
+
+def test_gauss_sum_memory_is_bounded():
+    # 2^20 summands: held at once, they peaked at 67 MB
+    pt = RationalPoint.make([1] * len(G22), 1024)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gauss_sum(pt, G22, 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_gauss_sum_rejects_mismatched_k():
