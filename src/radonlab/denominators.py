@@ -24,11 +24,21 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .expsums import RationalPoint, factorize
+from .multiindex import exact_dtype
 
 DEFAULT_MEMBER_CAP = 2_000_000
 DEFAULT_PRODUCT_CAP = 5_000_000
+RESIDUE_CAP = 10 ** 7
+PARTITION_PATTERN_CAP = 10 ** 5
+SPLITTING_TERM_CAP = 10 ** 6
 # function values one step of the exhaustive separation audit holds at once
 _AUDIT_CELLS = 1 << 20
+# the separation audit checks every k-subset up to this many, else samples
+_AUDIT_CAP, _AUDIT_SAMPLES = 10 ** 6, 10 ** 5
+# families surjection_family draws before it gives up
+_SURJECTION_RETRIES = 200
+# consecutive N at which the product-branch inequality must hold
+_CUTOFF_RUN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +128,7 @@ def _product_branch_holds(N: int, rho: float, D: int) -> bool:
     return 2 * D * N ** (rho / 2.0) * math.log(3.0) + math.log(N) <= N ** rho
 
 
-def _small_cutoff(rho: float, D: int, run: int = 64) -> int:
+def _small_cutoff(rho: float, D: int) -> int:
     """Least N such that the product-branch inequality holds from N onward.
 
     The defining comparison mixes irrational powers, so it is evaluated in
@@ -135,8 +145,8 @@ def _small_cutoff(rho: float, D: int, run: int = 64) -> int:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if _product_branch_holds(mid, rho, D) else (mid, hi)
-    N = max(1, hi - run)
-    while not all(_product_branch_holds(M, rho, D) for M in range(N, N + run)):
+    N = max(1, hi - _CUTOFF_RUN)
+    while not all(_product_branch_holds(M, rho, D) for M in range(N, N + _CUTOFF_RUN)):
         N += 1
     return N
 
@@ -234,11 +244,21 @@ class DenominatorSet:
 
     @classmethod
     def from_json(cls, text: str) -> "DenominatorSet":
+        """The set ``to_json`` wrote.  A product-branch witness is rebuilt as
+        ``build_denominator_set`` builds it; ``ValueError`` if Q0 or the
+        members then differ from the text."""
         obj = json.loads(text)
-        cfg = DenominatorConfig(obj["rho"], obj["D"], obj["small_cutoff"])
-        return cls(obj["N"], cfg, obj["branch"], int(obj["Q0"]),
-                   tuple(obj["window"]), tuple(obj["smooth"]),
-                   tuple(int(m) for m in obj["members"]), {})
+        ds = cls(obj["N"], DenominatorConfig(obj["rho"], obj["D"], obj["small_cutoff"]),
+                 obj["branch"], int(obj["Q0"]), tuple(obj["window"]),
+                 tuple(obj["smooth"]), tuple(int(m) for m in obj["members"]), {})
+        if ds.branch == "small":
+            return ds
+        fact = _top_prime_powers(ds.N, set(ds.window))
+        smooth, members, witness = _product_members(ds.N, fact)
+        Q0 = math.prod(p ** e for p, e in fact)
+        if (Q0, smooth, members) != (ds.Q0, ds.smooth, ds.members):
+            raise ValueError("Q0 or the members are not those of the prime window")
+        return cls(ds.N, ds.config, ds.branch, ds.Q0, ds.window, smooth, members, witness)
 
 
 def _json_block(items, depth: int, brackets: str = "[]") -> str:
@@ -259,19 +279,38 @@ def _divisors_from_factorization(fact: list[tuple[int, int]]) -> list[int]:
     return sorted(divs)
 
 
-def _exact_array(values, top: int) -> np.ndarray:
-    """``values`` as int64 while ``top`` bounds every product formed from
-    them below 2^62, and as Python integers (object dtype) otherwise."""
-    return np.array(values, np.int64 if top < 2 ** 62 else object)
+def _product_members(N: int, fact: list[tuple[int, int]]) -> tuple:
+    """The smooth numbers, members and witness of the product branch at N, for
+    Q0 factored as ``fact``: the members are the products of every divisor of
+    Q0 with every window-smooth number (from a sieve), formed as one array."""
+    n_divisors = math.prod(e + 1 for _, e in fact)
+    # every divisor of Q0 is a member, so refuse before collecting smooth numbers
+    if n_divisors > DEFAULT_MEMBER_CAP:
+        raise BudgetError("denominator member cap", n_divisors, DEFAULT_MEMBER_CAP)
+    # smooth numbers: 1..N with no prime factor outside the window
+    sieve = np.ones(N + 1, bool)
+    for p, _ in fact:
+        sieve[p::p] = False
+    smooth = (np.flatnonzero(sieve[1:]) + 1).tolist()
+    if n_divisors * len(smooth) > DEFAULT_MEMBER_CAP:
+        raise BudgetError("denominator member cap",
+                          n_divisors * len(smooth), DEFAULT_MEMBER_CAP)
+    divisors, smooth = tuple(_divisors_from_factorization(fact)), tuple(smooth)
+    dtype = exact_dtype(divisors[-1] * smooth[-1])
+    prods = np.multiply.outer(np.array(divisors, dtype), np.array(smooth, dtype)).ravel()
+    order = np.argsort(prods)
+    prods = prods[order]
+    # distinct products are the unique (divisor, smooth) factorizations
+    if not (prods[1:] > prods[:-1]).all():
+        raise AssertionError("a member factors in two ways")
+    members = tuple(prods.tolist())
+    return smooth, members, _Witness(prods, order, divisors, smooth, members)
 
 
-def build_denominator_set(N: int, rho: float,
-                          member_cap: int = DEFAULT_MEMBER_CAP) -> DenominatorSet:
+def build_denominator_set(N: int, rho: float) -> DenominatorSet:
     """Construct the denominator set at resolution N.
 
-    The window-smooth numbers come from a sieve, and the members are the
-    products of every divisor of Q0 with every smooth number, formed as one
-    array.  The three structural properties (contains 1..N, bounded above by
+    The three structural properties (contains 1..N, bounded above by
     max(N, e^(N^rho)), lcm equal to lcm(1..N)) are checked at build time.
     """
     if N < 1:
@@ -283,33 +322,9 @@ def build_denominator_set(N: int, rho: float,
     Q0 = math.prod(p ** e for p, e in fact)
 
     if N < cfg.small_cutoff:
-        members = tuple(range(1, N + 1))
-        ds = DenominatorSet(N, cfg, "small", Q0, window, (), members, {})
+        ds = DenominatorSet(N, cfg, "small", Q0, window, (), tuple(range(1, N + 1)), {})
     else:
-        n_divisors = math.prod(e + 1 for _, e in fact)
-        # every divisor of Q0 is a member, so refuse before collecting smooth numbers
-        if n_divisors > member_cap:
-            raise BudgetError("denominator member cap", n_divisors, member_cap)
-        # smooth numbers: 1..N with no prime factor outside the window
-        sieve = np.ones(N + 1, bool)
-        for p, _ in fact:
-            sieve[p::p] = False
-        smooth = (np.flatnonzero(sieve[1:]) + 1).tolist()
-        if n_divisors * len(smooth) > member_cap:
-            raise BudgetError("denominator member cap",
-                              n_divisors * len(smooth), member_cap)
-        divisors, smooth = tuple(_divisors_from_factorization(fact)), tuple(smooth)
-        top = Q0 * smooth[-1]
-        prods = np.multiply.outer(_exact_array(divisors, top),
-                                  _exact_array(smooth, top)).ravel()
-        order = np.argsort(prods)
-        prods = prods[order]
-        # distinct products are the unique (divisor, smooth) factorizations
-        if not (prods[1:] > prods[:-1]).all():
-            raise AssertionError("a member factors in two ways")
-        members = tuple(prods.tolist())
-        ds = DenominatorSet(N, cfg, "product", Q0, window, smooth, members,
-                            _Witness(prods, order, divisors, smooth, members))
+        ds = DenominatorSet(N, cfg, "product", Q0, window, *_product_members(N, fact))
 
     # structural checks; the members are sorted and distinct
     if ds.members[:N] != tuple(range(1, N + 1)):
@@ -327,32 +342,31 @@ def build_denominator_set(N: int, rho: float,
 # ---------------------------------------------------------------------------
 
 
-def reduced_residues(q: int, d: int, cap: int = 10 ** 7) -> list[tuple[int, ...]]:
+def reduced_residues(q: int, d: int) -> list[tuple[int, ...]]:
     """All a in {1..q}^d with gcd(q, a_1, ..., a_d) = 1, lexicographically."""
     if q < 1 or d < 1:
         raise PreconditionError("need q >= 1 and d >= 1")
-    if q ** d > cap:
-        raise BudgetError("residue enumeration cap", q ** d, cap)
+    if q ** d > RESIDUE_CAP:
+        raise BudgetError("residue enumeration cap", q ** d, RESIDUE_CAP)
     out = [a for a in product(range(1, q + 1), repeat=d) if math.gcd(q, *a) == 1]
     if len(out) != jordan_totient(q, d):
         raise AssertionError("residue count differs from the Jordan totient")
     return out
 
 
-def fraction_family(denominators: Iterable[int], d: int,
-                    cap: int = 10 ** 7) -> list[RationalPoint]:
+def fraction_family(denominators: Iterable[int], d: int) -> list[RationalPoint]:
     """Union over q of the reduced points a/q, canonical in [0,1)^d, deduplicated."""
     seen = set()
     out = []
     for q in sorted(set(denominators)):
-        for a in reduced_residues(q, d, cap):
+        for a in reduced_residues(q, d):
             pt = RationalPoint.make(a, q)
             key = (pt.q, pt.numerators)
             if key not in seen:
                 seen.add(key)
                 out.append(pt)
-        if len(out) > cap:
-            raise BudgetError("fraction family cap", len(out), cap)
+        if len(out) > RESIDUE_CAP:
+            raise BudgetError("fraction family cap", len(out), RESIDUE_CAP)
     return out
 
 
@@ -366,10 +380,15 @@ def fraction_family_count(denominators: Iterable[int], d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def surjection_family(V: Sequence, k: int, seed: int = 2024,
-                      max_retries: int = 200,
-                      audit_cap: int = 10 ** 6,
-                      audit_samples: int = 10 ** 5) -> list[dict]:
+def _family_size(n: int, k: int) -> int:
+    """How many functions ``surjection_family`` draws per attempt for n >= k
+    points and k values."""
+    if k == 1 or n == k:
+        return 1
+    return max(1, math.ceil(k ** (k + 1) / math.factorial(k) * math.log(n)))
+
+
+def surjection_family(V: Sequence, k: int, seed: int = 2024) -> list[dict]:
     """Functions V -> {1..k} such that every k-subset is separated by some member.
 
     Randomized construction with at most ceil(k^(k+1)/k! * ln|V|) functions,
@@ -390,7 +409,7 @@ def surjection_family(V: Sequence, k: int, seed: int = 2024,
         return [{v: i + 1 for i, v in enumerate(V)}]
 
     rng = random.Random(seed)
-    r = max(1, math.ceil(k ** (k + 1) / math.factorial(k) * math.log(n)))
+    r = _family_size(n, k)
     chunk = max(1, _AUDIT_CELLS // (r * k))
     full = (1 << k) - 1
 
@@ -401,18 +420,18 @@ def surjection_family(V: Sequence, k: int, seed: int = 2024,
         return (np.bitwise_or.reduce(bits[:, idx], axis=2) == full).any(axis=0)
 
     def covered(bits: np.ndarray) -> bool:
-        if math.comb(n, k) <= audit_cap:
+        if math.comb(n, k) <= _AUDIT_CAP:
             subsets = combinations(range(n), k)
             while block := list(islice(subsets, chunk)):
                 if not separated(bits, block).all():
                     return False
             return True
-        for _ in range(audit_samples):
+        for _ in range(_AUDIT_SAMPLES):
             if not separated(bits, [rng.sample(range(n), k)])[0]:
                 return False
         return True
 
-    for _ in range(max_retries):
+    for _ in range(_SURJECTION_RETRIES):
         fams = [[rng.randrange(1, k + 1) for _ in V] for _ in range(r)]
         if covered(1 << (np.array(fams, np.int64) - 1)):
             return [dict(zip(V, f)) for f in fams if len(set(f)) == k]
@@ -499,8 +518,7 @@ def _factor_keys(codes: np.ndarray, base: int) -> np.ndarray:
     return (codes * place).sum(axis=1)
 
 
-def _power_products(V: Sequence[int], D: int,
-                    cap: int = DEFAULT_PRODUCT_CAP) -> tuple[np.ndarray, np.ndarray]:
+def _power_products(V: Sequence[int], D: int) -> tuple[np.ndarray, np.ndarray]:
     """1 and every product of 1..D distinct primes of V at exponents 1..D, in
     increasing order, with the factorization key of each.
 
@@ -511,14 +529,14 @@ def _power_products(V: Sequence[int], D: int,
     large the products grow.
     """
     est = sum(math.comb(len(V), k) * D ** k for k in range(1, D + 1)) + 1
-    if est > cap:
-        raise BudgetError("power product enumeration cap", est, cap)
+    if est > DEFAULT_PRODUCT_CAP:
+        raise BudgetError("power product enumeration cap", est, DEFAULT_PRODUCT_CAP)
     V = sorted(V)
     n, k_max = len(V), min(D, len(V))
     base = D * n + 1
-    powers = _exact_array([[p ** e for e in range(1, D + 1)] for p in V],
-                          math.prod(V[-D:]) ** D if V else 1).reshape(n, D)
-    codes = _exact_array(range(1, D * n + 1), base ** k_max).reshape(n, D)
+    powers = np.array([[p ** e for e in range(1, D + 1)] for p in V],
+                      exact_dtype(math.prod(V[-D:]) ** D if V else 1)).reshape(n, D)
+    codes = np.array(range(1, D * n + 1), exact_dtype(base ** k_max)).reshape(n, D)
     values, keys = [np.ones(1, powers.dtype)], [np.zeros(1, codes.dtype)]
     for k in range(1, k_max + 1):
         combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
@@ -531,10 +549,9 @@ def _power_products(V: Sequence[int], D: int,
     return values[order], keys[order]
 
 
-def enumerate_power_products(V: Sequence[int], D: int,
-                             cap: int = DEFAULT_PRODUCT_CAP) -> list[int]:
+def enumerate_power_products(V: Sequence[int], D: int) -> list[int]:
     """All products of 1..D distinct primes of V at exponents 1..D, plus 1."""
-    return _power_products(V, D, cap)[0].tolist()
+    return _power_products(V, D)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -581,12 +598,17 @@ def partition_coprime_products(N: int, rho: float, seed: int = 2024) -> Partitio
     partition by first-class-wins assignment (subsets keep the witness): a
     bitmap over the sorted universe of admissible products marks what earlier
     classes took, and a class finds its products there by their
-    factorization keys.  The class count is O(log N) for fixed rho.
+    factorization keys.  The class count is O(log N) for fixed rho; the
+    (function, exponent pattern) pairs to try are counted before any product.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
     cfg = DenominatorConfig.for_rho(rho)
     V = prime_window(N, rho)
+    needed = sum(_family_size(len(V), k) * cfg.D ** k
+                 for k in range(1, min(cfg.D, len(V)) + 1))
+    if needed > PARTITION_PATTERN_CAP:
+        raise BudgetError("partition class patterns", needed, PARTITION_PATTERN_CAP)
     universe, keys = _power_products(V, cfg.D)
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
@@ -711,7 +733,7 @@ class SplittingCheck:
     holds: bool
 
 
-def l1_lr_inequality_check(a: Sequence, r: int, cap: int = 10 ** 6) -> SplittingCheck:
+def l1_lr_inequality_check(a: Sequence, r: int) -> SplittingCheck:
     """Exact check of (sum a)^r <= (r(r-1))^(r-1) sum a_i^r + 2 sum over
     pairwise-distinct index tuples of a_{i1} ... a_{ir}."""
     vals = [Fraction(x) for x in a]
@@ -720,8 +742,8 @@ def l1_lr_inequality_check(a: Sequence, r: int, cap: int = 10 ** 6) -> Splitting
     if r < 1:
         raise PreconditionError("r must be >= 1")
     n = len(vals)
-    if n ** r > cap:
-        raise BudgetError("splitting inequality term cap", n ** r, cap)
+    if n ** r > SPLITTING_TERM_CAP:
+        raise BudgetError("splitting inequality term cap", n ** r, SPLITTING_TERM_CAP)
     lhs = sum(vals, Fraction(0)) ** r
     diag = Fraction((r * (r - 1)) ** (r - 1)) * sum((v ** r for v in vals), Fraction(0))
     off = sum((math.prod(vals[i] for i in idx) for idx in permutations(range(n), r)),

@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .lattice import ConvexBody, lattice_points
-from .multiindex import MultiIndexSet, degree
+from .multiindex import MultiIndexSet, degree, exact_dtype
 
 DEFAULT_SUMMAND_CAP = 10 ** 9
+# doublings of the exponent base vandermonde_automorphisms tries
+_MAX_DOUBLINGS = 8
 # summands one step of ``gauss_sum`` holds at once
 _GAUSS_BLOCK = 1 << 16
 
@@ -167,9 +169,9 @@ class IntegerPolynomial:
 def phase_numerators(points, monomials, nums, Q: int) -> np.ndarray:
     """sum_i nums[i] * y^monomials[i] mod Q, exactly, for each row y of ``points``.
 
-    Residues are int64 while Q < 2^31, so that products of two stay below
-    2^62; larger moduli use Python integers (object dtype)."""
-    dtype = np.int64 if Q < 2 ** 31 else object
+    Residues are int64 while products of two, below Q^2, stay below 2^62,
+    that is while Q < 2^31; larger moduli use Python integers (object dtype)."""
+    dtype = exact_dtype(Q * Q)
     acc = np.zeros(len(points), dtype)
     if not monomials:
         return acc
@@ -211,8 +213,7 @@ def running_sums(terms) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gauss_sum(point: RationalPoint, gammas: MultiIndexSet, k: int,
-              cap: int = DEFAULT_SUMMAND_CAP) -> complex:
+def gauss_sum(point: RationalPoint, gammas: MultiIndexSet, k: int) -> complex:
     """Normalized complete exponential sum of the canonical monomials mod q.
 
     q^{-k} * sum over r in {1..q}^k of e((a/q) . r^Gamma), with the phase
@@ -221,8 +222,8 @@ def gauss_sum(point: RationalPoint, gammas: MultiIndexSet, k: int,
     if point.d != len(gammas) or gammas.k != k:
         raise ValueError("rational point, index set and k do not match")
     q = point.q
-    if q ** k > cap:
-        raise BudgetError("gauss sum summand cap", q ** k, cap)
+    if q ** k > DEFAULT_SUMMAND_CAP:
+        raise BudgetError("gauss sum summand cap", q ** k, DEFAULT_SUMMAND_CAP)
     # the exact residue counts, accumulated over blocks of the summands
     counts = np.zeros(q, np.int64)
     for start in range(0, q ** k, _GAUSS_BLOCK):
@@ -269,10 +270,9 @@ def _gauss_max_over_numerators(q: int, gammas: MultiIndexSet) -> tuple[float, tu
     return float(spec[arg]) / q, tuple(int(a) for a in arg)
 
 
-def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int,
-                     fit_lo: int | None = None,
-                     cap: int = DEFAULT_SUMMAND_CAP) -> GaussScanResult:
-    """Table of max_a |G(a/q)| for q = 2..q_max plus a log-log decay fit.
+def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int) -> GaussScanResult:
+    """Table of max_a |G(a/q)| for q = 2..q_max plus a log-log decay fit over
+    max(2, q_max // 4) <= q <= q_max.
 
     The per-q maximum is exhaustive over admissible numerators.  For k = 1 the
     whole numerator sweep is a multidimensional DFT of the residue-count table
@@ -284,8 +284,8 @@ def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int,
     fft = lambda q: k == 1 and q ** d <= 2 ** 24
     # the direct branch sums q^k terms for each of q^d numerators
     needed = sum(q ** (d + k) for q in range(2, q_max + 1) if not fft(q))
-    if needed > cap:
-        raise BudgetError("gauss scan total summands", needed, cap)
+    if needed > DEFAULT_SUMMAND_CAP:
+        raise BudgetError("gauss scan total summands", needed, DEFAULT_SUMMAND_CAP)
     rows = []
     for q in range(2, q_max + 1):
         if fft(q):
@@ -298,14 +298,14 @@ def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int,
                 if math.gcd(q, *a) != 1:
                     continue
                 point = RationalPoint.make(a, q)
-                v = abs(gauss_sum(point, gammas, k, cap))
+                v = abs(gauss_sum(point, gammas, k))
                 if v > best:
                     best, barg = v, point.numerators
             rows.append(GaussScanRow(q, best, barg))
-    lo = fit_lo if fit_lo is not None else max(2, q_max // 4)
-    xs = [math.log(r.q) for r in rows if lo <= r.q <= q_max and r.max_abs > 0]
-    ys = [math.log(r.max_abs) for r in rows if lo <= r.q <= q_max and r.max_abs > 0]
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else float("nan")
+    lo = max(2, q_max // 4)
+    fit = [(math.log(r.q), math.log(r.max_abs))
+           for r in rows if r.q >= lo and r.max_abs > 0]
+    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else float("nan")
     return GaussScanResult(tuple(rows), slope, (lo, q_max))
 
 
@@ -315,12 +315,9 @@ def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int,
 
 
 def weyl_sum(poly: IntegerPolynomial, body: ConvexBody, N: float,
-             phi: Callable[[tuple[int, ...]], complex] | None = None,
-             cap: int = DEFAULT_SUMMAND_CAP) -> complex:
+             phi: Callable[[tuple[int, ...]], complex] | None = None) -> complex:
     """Sum of e(P(n)) phi(n) over the lattice points of the dilate by N."""
-    pts = lattice_points(body, N, cap)
-    if len(pts) > cap:
-        raise BudgetError("weyl sum summand cap", len(pts), cap)
+    pts = lattice_points(body, N, DEFAULT_SUMMAND_CAP)
     rp = RationalPoint.from_fractions([c for _, c in poly.coeffs])
     v = unit_phases(phase_numerators(pts.points, [g for g, _ in poly.coeffs],
                                      rp.numerators, rp.q), rp.q)
@@ -440,7 +437,7 @@ class VandermondeSystem:
         return self.coefficients[tuple(gamma0)]
 
 
-def vandermonde_automorphisms(k: int, l: int, max_doublings: int = 8) -> VandermondeSystem:
+def vandermonde_automorphisms(k: int, l: int) -> VandermondeSystem:
     """Build the shear family and exact recovery coefficients for degree-l forms.
 
     The exponent weights are mu_i = B^(i-1) with B = l*k + 1, doubled on a
@@ -454,7 +451,7 @@ def vandermonde_automorphisms(k: int, l: int, max_doublings: int = 8) -> Vanderm
     if nu != math.comb(l + k - 1, k - 1):
         raise AssertionError("wrong number of homogeneous indices")
     B = l * k + 1
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         mu = tuple(B ** i for i in range(k))   # mu_1 = 1 < mu_2 < ...
         # sigma_j = sum_alpha theta_alpha j^(e(alpha)), e(alpha) = sum_{i>=2} mu_i alpha_i
         exps = [sum(mu[i] * a[i] for i in range(1, k)) for a in alphas]
@@ -462,7 +459,8 @@ def vandermonde_automorphisms(k: int, l: int, max_doublings: int = 8) -> Vanderm
             break
         B *= 2
     else:
-        raise RuntimeError("failed to separate exponents; raise max_doublings")
+        raise RuntimeError(
+            f"failed to separate exponents within {_MAX_DOUBLINGS} doublings of the base")
 
     matrices = []
     for j in range(1, nu + 1):
@@ -550,7 +548,7 @@ class WeylReport:
 
 def weyl_bound_report(poly: IntegerPolynomial, body: ConvexBody, N: float,
                       gamma0: Sequence[int], a: int, q: int, epsilon: float,
-                      phi=None, cap: int = DEFAULT_SUMMAND_CAP) -> WeylReport:
+                      phi=None) -> WeylReport:
     """Evaluate a Weyl sum against the shape N^k kappa^(-eps) log(N+1).
 
     kappa = min(q, N^{|gamma0|}/q).  For one variable the record also carries
@@ -564,7 +562,7 @@ def weyl_bound_report(poly: IntegerPolynomial, body: ConvexBody, N: float,
     xi0 = poly.coeff(gamma0)
     if abs(xi0 - Fraction(a, q)) > Fraction(1, q * q):
         raise PreconditionError("leading coefficient is not within 1/q^2 of a/q")
-    S = weyl_sum(poly, body, N, phi=phi, cap=cap)
+    S = weyl_sum(poly, body, N, phi=phi)
     l = degree(gamma0)
     kappa = min(float(q), float(N) ** l / q)
     bound = float(N) ** body.k * kappa ** (-epsilon) * math.log(N + 1.0)

@@ -17,8 +17,8 @@ One scan serves every body: it masks the per-axis box of the dilate with that
 comparison in numpy (int64 when no form in the box can overflow it, Python
 integers otherwise) and emits the points in lexicographic order together with
 their forms.  ``gauge_square`` is the exact per-point gauge, kept for single
-queries and as the oracle of the scan.  A configurable cap guards against
-runaway scans.
+queries and as the oracle of the scan.  A scan refuses a box of more cells
+than ``DEFAULT_POINT_CAP``, or than the cap a caller gives ``lattice_points``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
+from .multiindex import exact_dtype
 
 DEFAULT_POINT_CAP = 10 ** 8
+_AUDIT_DIRECTIONS, _AUDIT_SEED = 64, 7     # audit_inclusion's sphere samples
 
 
 def dyadic_radius(t: float) -> float:
@@ -71,12 +73,6 @@ class ConvexBody:
 
     def gauge_square(self, y: Sequence[int]) -> Fraction:
         raise NotImplementedError
-
-    def contains_lattice(self, y: Sequence[int], t: float) -> bool:
-        """Is the integer point ``y`` in the open dilate by ``t``?  Exact."""
-        if t <= 0:
-            return False
-        return self.gauge_square(y) < Fraction(t) * Fraction(t)
 
     # -- float geometry ----------------------------------------------------
 
@@ -120,7 +116,7 @@ class ConvexBody:
             raise BudgetError("lattice point cap", cells, cap)
         # bounds every w_i y_i^2 and every form in the box
         top = max(B, max(w) * (max(radii) + 1) ** 2 * self.k)
-        dtype = np.int64 if top < 2 ** 62 else object
+        dtype = exact_dtype(top)
         form = np.zeros((), dtype=dtype)
         for wi, r in zip(w, radii):
             y = np.arange(-r, r + 1, dtype=dtype)
@@ -338,34 +334,32 @@ def lattice_points(body: ConvexBody, t: float, cap: int = DEFAULT_POINT_CAP) -> 
     return LatticePointSet(body, t, tuple(body._scan(t, cap)[0]))
 
 
-def annulus_points(body: ConvexBody, t1: float, t2: float,
-                   cap: int = DEFAULT_POINT_CAP) -> LatticePointSet:
+def annulus_points(body: ConvexBody, t1: float, t2: float) -> LatticePointSet:
     """Lattice points of the dilate by ``t2`` that are not in the dilate by ``t1``.
 
     Single scan of the outer box; the inner set is never materialized.
     """
     if not 0 <= t1 <= t2:
         raise PreconditionError("need 0 <= t1 <= t2")
-    pts, form = body._scan(t2, cap)
+    pts, form = body._scan(t2, DEFAULT_POINT_CAP)
     # as in lattice_points, a dilate by t1 < 1 holds the origin (form 0) alone
     keep = form >= max(body._bound(t1), 1)
     return LatticePointSet(body, t2, tuple(compress(pts, keep.tolist())))
 
 
-def near_boundary_count(body: ConvexBody, t: float, s: float,
-                        cap: int = DEFAULT_POINT_CAP) -> int:
+def near_boundary_count(body: ConvexBody, t: float, s: float) -> int:
     """Count lattice points within distance ``s`` of the boundary of the dilate."""
     if not 1 <= s <= body.diameter(t):
         raise PreconditionError("need 1 <= s <= diam of the dilate")
     b = int(math.ceil(t * body.outer_radius + s)) + 1
-    if (2 * b + 1) ** body.k > cap:
-        raise BudgetError("near-boundary scan cap", (2 * b + 1) ** body.k, cap)
+    if (cells := (2 * b + 1) ** body.k) > DEFAULT_POINT_CAP:
+        raise BudgetError("near-boundary scan cap", cells, DEFAULT_POINT_CAP)
     return sum(1 for y in product(range(-b, b + 1), repeat=body.k)
                if body.boundary_distance(y, t) < s)
 
 
-def gauge_groups(body: ConvexBody, gauge_max: float,
-                 cap: int = DEFAULT_POINT_CAP) -> list[tuple[float, list[tuple[int, ...]]]]:
+def gauge_groups(body: ConvexBody,
+                 gauge_max: float) -> list[tuple[float, list[tuple[int, ...]]]]:
     """Nonzero lattice points with gauge < gauge_max, grouped by exact gauge value.
 
     Groups are returned in strictly increasing gauge order, each in
@@ -373,7 +367,7 @@ def gauge_groups(body: ConvexBody, gauge_max: float,
     entering a dilation family at the same scale are never split by
     floating-point noise.
     """
-    pts, form = body._scan(float(gauge_max), cap)
+    pts, form = body._scan(float(gauge_max), DEFAULT_POINT_CAP)
     groups: dict[int, list[tuple[int, ...]]] = {}
     for p, f in zip(pts, form.tolist()):
         if f:
@@ -383,13 +377,13 @@ def gauge_groups(body: ConvexBody, gauge_max: float,
     return [(math.sqrt(f / D), groups[f]) for f in sorted(groups)]
 
 
-def audit_inclusion(body: ConvexBody, n_dirs: int = 64, seed: int = 7) -> bool:
+def audit_inclusion(body: ConvexBody) -> bool:
     """Sample sphere directions to confirm B(0, c) <= body <= B(0, 1)."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(_AUDIT_SEED)
     c = body.inner_radius * (1 - 1e-9)
-    for _ in range(n_dirs):
+    for _ in range(_AUDIT_DIRECTIONS):
         u = [rng.gauss(0, 1) for _ in range(body.k)]
         n = math.sqrt(sum(x * x for x in u)) or 1.0
         u = [x / n for x in u]

@@ -132,6 +132,12 @@ def _integers(values) -> list[int]:
         raise PreconditionError("coordinates must be integers") from None
 
 
+def exact_dtype(bound: int):
+    """The dtype of every exact integer array, from a ``bound`` on what it
+    holds: int64 while bound < 2^62, Python integers (object dtype) above."""
+    return np.int64 if bound < 2 ** 62 else object
+
+
 def integer_rows(points, k: int) -> np.ndarray:
     """The integer points ``points`` as an (n, k) array: int64 while every
     coordinate is below 2^62 in magnitude, so that a sum of two cannot
@@ -141,7 +147,8 @@ def integer_rows(points, k: int) -> np.ndarray:
     try:
         # struct packs integers only (by __index__) and refuses any beyond int64
         struct.pack_into(f"{y.size}q", y, 0, *chain.from_iterable(points))
-        if not y.size or -2 ** 62 < y.min() and y.max() < 2 ** 62:
+        top = max(-int(y.min()), int(y.max())) if y.size else 0
+        if exact_dtype(top) is np.int64:
             return y.reshape(len(points), k)
     except struct.error:
         pass
@@ -157,7 +164,7 @@ def monomial_images(points, monomials: Sequence[Sequence[int]]) -> np.ndarray:
     y = integer_rows(points, k) if monomials else np.zeros((len(points), 0), np.int64)
     deg = max((degree(g) for g in monomials), default=0)
     top = max(-int(y.min()), int(y.max())) if y.size else 0
-    dtype = np.int64 if top ** deg < 2 ** 62 else object
+    dtype = exact_dtype(top ** deg)
     y = y.astype(dtype)
     out = np.empty((len(y), len(monomials)), dtype)
     for j, g in enumerate(monomials):

@@ -31,10 +31,15 @@ from .multiindex import (FrequencyVector, MultiIndexSet, canonical_map, degree,
                          quasi_norm)
 from .expsums import (RationalPoint, gauss_sum, phase_numerators, running_sums,
                       unit_phase, unit_phases)
-from .radon import CZKernelSpec
+from .radon import CZKernelSpec, _check_flavor
 
 DEFAULT_OSCILLATION_BUDGET = 1.0e6
+BREAKPOINT_CAP = 10 ** 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# relative tolerance of the adaptive quadrature, and the panel doublings it may take
+_SYMBOL_TOL, _MAX_LEVELS = 1e-8, 12
+_T_GRID = tuple(i / 8 for i in range(9))    # sampled arc reports take t = N + i / 8
+_IDENTITY_TOL = 1e-9    # relative to q^d, for the full-residue kernel identity
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +59,6 @@ def _xi_entries(xi, gammas: MultiIndexSet):
     exact = all(isinstance(v, (int, Fraction)) for v in vals)
     return (tuple(Fraction(v) for v in vals) if exact else tuple(float(v) for v in vals),
             exact)
-
-
-def _check_flavor(flavor: str, cz: CZKernelSpec | None) -> None:
-    if flavor not in ("averaging", "singular"):
-        raise ValueError("flavor must be 'averaging' or 'singular'")
-    if flavor == "singular" and cz is None:
-        raise ValueError("singular flavor needs a kernel spec")
 
 
 def _phases(values, exact: bool, gammas: MultiIndexSet, points) -> np.ndarray:
@@ -87,15 +85,14 @@ def _phases(values, exact: bool, gammas: MultiIndexSet, points) -> np.ndarray:
 
 def discrete_multiplier(flavor: str, body: ConvexBody, t: float,
                         gammas: MultiIndexSet, xi,
-                        cz: CZKernelSpec | None = None,
-                        cap: int = 10 ** 8) -> complex:
+                        cz: CZKernelSpec | None = None) -> complex:
     """Fourier transform of the scale-2**t kernel at the frequency xi.
 
     Equals the exponential sum over the dilate's lattice points, normalized
     for the averaging flavor and kernel-weighted for the singular flavor.
     """
     _check_flavor(flavor, cz)
-    pts = lattice_points(body, dyadic_radius(t), cap).points
+    pts = lattice_points(body, dyadic_radius(t)).points
     ph = _phases(*_xi_entries(xi, gammas), gammas, pts)
     if flavor == "averaging":
         return complex(running_sums(ph)[-1]) / len(pts)
@@ -113,8 +110,8 @@ def _halfwidth(body: ConvexBody) -> Fraction:
 
 def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
                                   gammas: MultiIndexSet, xi, t_lo: float,
-                                  t_hi: float, cz: CZKernelSpec | None = None,
-                                  cap: int = 10 ** 8) -> list[tuple[int, complex]]:
+                                  t_hi: float, cz: CZKernelSpec | None = None
+                                  ) -> list[tuple[int, complex]]:
     """All values of t -> m_t(xi) for t in [t_lo, t_hi], one per breakpoint (k = 1).
 
     The lattice set of the dilate changes only when 2**t crosses j/w for an
@@ -131,8 +128,8 @@ def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
         return max(0, (bound.numerator - 1) // bound.denominator)
 
     j_lo, j_hi = j_at(t_lo), j_at(t_hi)
-    if 2 * j_hi + 1 > cap:
-        raise BudgetError("breakpoint profile cap", 2 * j_hi + 1, cap)
+    if 2 * j_hi + 1 > BREAKPOINT_CAP:
+        raise BudgetError("breakpoint profile cap", 2 * j_hi + 1, BREAKPOINT_CAP)
     _check_flavor(flavor, cz)
     # 0, 1, -1, 2, -2, ...: the order in which the sums take the points
     ys = [(s * j,) for j in range(1, j_hi + 1) for s in (1, -1)]
@@ -170,19 +167,18 @@ def _gl_integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return complex(total)
 
 
-def _adaptive(f, a: float, b: float, tol: float, start_panels: int,
-              max_levels: int = 12) -> tuple[complex, float, int]:
+def _adaptive(f, a: float, b: float, start_panels: int) -> tuple[complex, float, int]:
     panels = max(4, start_panels)
     prev = _gl_integrate(f, a, b, panels)
-    for level in range(1, max_levels + 1):
+    for level in range(1, _MAX_LEVELS + 1):
         panels *= 2
         cur = _gl_integrate(f, a, b, panels)
         err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
+        if err <= _SYMBOL_TOL * max(1.0, abs(cur)):
             return cur, err, level
         prev = cur
     raise NonconvergenceError(
-        f"quadrature did not settle to {tol} within {max_levels} refinements")
+        f"quadrature did not settle to {_SYMBOL_TOL} within {_MAX_LEVELS} refinements")
 
 
 def _phase_poly_1d(vals, degs):
@@ -199,10 +195,8 @@ def _phase_poly_1d(vals, degs):
 
 
 def continuous_symbol(flavor: str, body: ConvexBody, t: float,
-                      gammas: MultiIndexSet, xi, tol: float = 1e-8,
-                      cz: CZKernelSpec | None = None,
-                      oscillation_budget: float = DEFAULT_OSCILLATION_BUDGET
-                      ) -> SymbolEvaluation:
+                      gammas: MultiIndexSet, xi,
+                      cz: CZKernelSpec | None = None) -> SymbolEvaluation:
     """The scale-2**t symbol of the continuous counterpart operator at xi.
 
     Averaging: the normalized oscillatory integral over the dilate.
@@ -220,13 +214,13 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
         w = float(_halfwidth(body))
         Rw = R * w
         osc = sum(abs(c) * Rw ** m for c, m in zip(fvals, degs))
-        if osc > oscillation_budget:
-            raise OscillationBudgetError("oscillation budget", osc, oscillation_budget)
+        if osc > DEFAULT_OSCILLATION_BUDGET:
+            raise OscillationBudgetError("oscillation budget", osc, DEFAULT_OSCILLATION_BUDGET)
         ph = _phase_poly_1d(fvals, degs)
         start = int(min(max(4, osc), 4096))
         if flavor == "averaging":
             f = lambda y: np.exp(2j * np.pi * ph(y))
-            val, err, lev = _adaptive(f, -Rw, Rw, tol, start)
+            val, err, lev = _adaptive(f, -Rw, Rw, start)
             return SymbolEvaluation(val / (2 * Rw), t, "gl-interval", err / (2 * Rw), lev)
         if flavor == "singular":
             def paired(y: np.ndarray) -> np.ndarray:
@@ -234,7 +228,7 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
                 km = np.array([cz.evaluate((-float(v),)) for v in y])
                 return np.exp(2j * np.pi * ph(y)) * kp + np.exp(2j * np.pi * ph(-y)) * km
 
-            val, err, lev = _adaptive(paired, 0.0, Rw, tol, start)
+            val, err, lev = _adaptive(paired, 0.0, Rw, start)
             return SymbolEvaluation(val, t, "gl-paired-pv", err, lev)
 
     if body.k == 2 and isinstance(body, EuclideanBall):
@@ -248,8 +242,8 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
             return acc
 
         osc = sum(abs(c) * Rr ** degree(g) for c, g in zip(fvals, gammas.members))
-        if osc > oscillation_budget:
-            raise OscillationBudgetError("oscillation budget", osc, oscillation_budget)
+        if osc > DEFAULT_OSCILLATION_BUDGET:
+            raise OscillationBudgetError("oscillation budget", osc, DEFAULT_OSCILLATION_BUDGET)
         n_theta = int(min(max(32, 8 * math.sqrt(osc + 1)), 1024))
         theta = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
         ct, st = np.cos(theta), np.sin(theta)
@@ -262,7 +256,7 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
                     out[i] = r_ * np.mean(np.exp(2j * np.pi * phase_xy(r_ * ct, r_ * st)))
                 return out
 
-            val, err, lev = _adaptive(radial, 0.0, Rr, tol, start)
+            val, err, lev = _adaptive(radial, 0.0, Rr, start)
             area = math.pi * Rr * Rr
             return SymbolEvaluation(2 * math.pi * val / area, t, "gl-polar",
                                     2 * math.pi * err / area, lev)
@@ -277,7 +271,7 @@ def continuous_symbol(flavor: str, body: ConvexBody, t: float,
                     out[i] = np.mean(ring) * 2 * np.pi / r_
                 return out
 
-            val, err, lev = _adaptive(radial_pv, 0.0, Rr, tol, start)
+            val, err, lev = _adaptive(radial_pv, 0.0, Rr, start)
             return SymbolEvaluation(val, t, "gl-polar-pv", err, lev)
     raise ValueError(f"no symbol path for body kind {body.kind!r} in dimension {body.k}")
 
@@ -304,8 +298,7 @@ class MajorArcReport:
 
 def major_arc_error(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
                     N: int, point: RationalPoint, theta: Sequence = (),
-                    cz: CZKernelSpec | None = None, tol: float = 1e-8,
-                    t_samples: int = 9, cap: int = 10 ** 8) -> MajorArcReport:
+                    cz: CZKernelSpec | None = None) -> MajorArcReport:
     """Sup over t in [N, N+1] of the distance between the discrete multiplier
     at a/q + theta and the height G(a/q) times the continuous symbol at theta.
 
@@ -326,17 +319,15 @@ def major_arc_error(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
                for f, v in zip(a_fr, theta))
 
     if theta_zero and body.k == 1:
-        prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1,
-                                             cz=cz, cap=cap)
+        prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1, cz=cz)
         if flavor == "averaging":
             sup = max(abs(m - G) for _, m in prof)
         else:
             sup = _set_diameter(np.array([m for _, m in prof]))
     else:
-        tg = [N + i / (t_samples - 1) for i in range(t_samples)]
-        ms = [discrete_multiplier(flavor, body, t, gammas, xi, cz=cz, cap=cap)
-              for t in tg]
-        phis = [continuous_symbol(flavor, body, t, gammas, theta, tol=tol, cz=cz).value
+        tg = [N + s for s in _T_GRID]
+        ms = [discrete_multiplier(flavor, body, t, gammas, xi, cz=cz) for t in tg]
+        phis = [continuous_symbol(flavor, body, t, gammas, theta, cz=cz).value
                 for t in tg]
         if flavor == "averaging":
             sup = max(abs(m - G * p) for m, p in zip(ms, phis))
@@ -378,8 +369,7 @@ def multiplier_increment_report(flavor: str, body: ConvexBody,
                                 gammas: MultiIndexSet, N: int,
                                 gamma0: Sequence[int], a: int, q: int, xi,
                                 alphas: Sequence[float] = (0.5, 1.0, 2.0),
-                                cz: CZKernelSpec | None = None,
-                                cap: int = 10 ** 8) -> IncrementReport:
+                                cz: CZKernelSpec | None = None) -> IncrementReport:
     """Sup over t1, t2 in [N, N+1] of |m_t1(xi) - m_t2(xi)| for a frequency
     whose gamma0 component is a Dirichlet-close fraction a/q of intermediate
     size, reported against N^-alpha for the scanned alphas."""
@@ -395,13 +385,11 @@ def multiplier_increment_report(flavor: str, body: ConvexBody,
     if abs(xi0 - Fraction(a, q)) > Fraction(1, q * q):
         raise PreconditionError("xi_gamma0 is not within 1/q^2 of a/q")
     if body.k == 1:
-        prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1,
-                                             cz=cz, cap=cap)
+        prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1, cz=cz)
         pts = np.array([m for _, m in prof])
     else:
-        tg = [N + i / 8 for i in range(9)]
-        pts = np.array([discrete_multiplier(flavor, body, t, gammas, xi, cz=cz, cap=cap)
-                        for t in tg])
+        pts = np.array([discrete_multiplier(flavor, body, N + s, gammas, xi, cz=cz)
+                        for s in _T_GRID])
     sup = _set_diameter(pts)
     rows = tuple((float(al), sup * N ** float(al)) for al in alphas)
     return IncrementReport(flavor, N, gamma0, a, q, beta_max, sup, rows)
@@ -508,12 +496,12 @@ class BoxNeighborhoodReport:
     radius: tuple
 
 
-def box_neighborhood_report(mult: BoxAverageMultiplier, point: RationalPoint,
-                            k: int = 1) -> BoxNeighborhoodReport:
+def box_neighborhood_report(mult: BoxAverageMultiplier,
+                            point: RationalPoint) -> BoxNeighborhoodReport:
     """|box multiplier - G(a/q)| at the center and corners of the neighborhood
     |xi_gamma - a_gamma/q| <= 2^(-N|gamma| + N^chi)."""
     gammas = mult.gammas
-    G = gauss_sum(point, gammas, k)
+    G = gauss_sum(point, gammas, gammas.k)
     center = point.components()
     errs = [abs(mult.value(center) - G)]
     radius = tuple(Fraction(2) ** int(math.floor(mult.N ** mult.chi)) /
@@ -537,14 +525,13 @@ def _character_sum(q: int, c: int) -> complex:
     return complex(np.sum(unit_phases(phase_numerators(b, [(1,)], [c], q), q)))
 
 
-def dirichlet_kernel_identity(q: int, d: int, x: Sequence[int],
-                              check_tol: float = 1e-9) -> int:
+def dirichlet_kernel_identity(q: int, d: int, x: Sequence[int]) -> int:
     """Sum of e(b . x) over all b in ({1..q}/q)^d, as an exact integer.
 
     Returns q^d when every coordinate of x is divisible by q and 0 otherwise;
     the closed form is cross-checked against direct exact-phase summation
-    (the sum factors across coordinates), and the two must agree to
-    check_tol * q^d.
+    (the sum factors across coordinates), and the two must agree to within
+    ``_IDENTITY_TOL`` * q^d.
     """
     if q < 1:
         raise PreconditionError("q must be >= 1")
@@ -555,7 +542,7 @@ def dirichlet_kernel_identity(q: int, d: int, x: Sequence[int],
     direct = 1.0 + 0j
     for c in x:
         direct *= _character_sum(q, c % q)
-    if abs(direct - closed) > check_tol * q ** d:
+    if abs(direct - closed) > _IDENTITY_TOL * q ** d:
         raise AssertionError(
             f"kernel identity mismatch: direct {direct}, closed {closed}")
     return closed
@@ -585,9 +572,7 @@ class DecayScanResult:
 
 def symbol_decay_scan(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
                       t_values: Sequence[float], xi_values: Sequence,
-                      cz: CZKernelSpec | None = None, tol: float = 1e-8,
-                      oscillation_budget: float = DEFAULT_OSCILLATION_BUDGET
-                      ) -> DecayScanResult:
+                      cz: CZKernelSpec | None = None) -> DecayScanResult:
     """Observed oscillatory-decay and smallness ratios of the symbol family.
 
     The decay regime tracks |Phi| against (2^t q*(xi))^(-1/d); the smallness
@@ -602,8 +587,7 @@ def symbol_decay_scan(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
             vals, exact = _xi_entries(xi, gammas)
             fv = FrequencyVector.float_vector(gammas, [float(v) for v in vals])
             qn = dyadic_radius(t) * quasi_norm(fv)
-            ev = continuous_symbol(flavor, body, t, gammas, xi, tol=tol, cz=cz,
-                                   oscillation_budget=oscillation_budget)
+            ev = continuous_symbol(flavor, body, t, gammas, xi, cz=cz)
             mod = abs(ev.value)
             decay = mod * qn ** (1.0 / d) if qn > 0 else 0.0
             small = abs(ev.value - limit) * qn ** (-1.0 / d) if qn > 0 else 0.0

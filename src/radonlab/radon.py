@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .lattice import ConvexBody, dyadic_radius, gauge_groups, lattice_points
-from .multiindex import MultiIndexSet, _integers, integer_rows, monomial_images
+from .multiindex import (MultiIndexSet, _integers, exact_dtype, integer_rows,
+                         monomial_images)
 from .variation import PathField, jump_seminorm, r_variation
 from .expsums import IntegerPolynomial
 
@@ -183,6 +184,13 @@ def cz_product(body: ConvexBody) -> CZKernelSpec:
     return CZKernelSpec("product", 2, 1.0, 8.0, body, ev)
 
 
+def _check_flavor(flavor: str, cz: CZKernelSpec | None) -> None:
+    if flavor not in ("averaging", "singular"):
+        raise ValueError("flavor must be 'averaging' or 'singular'")
+    if flavor == "singular" and cz is None:
+        raise ValueError("singular flavor needs a kernel spec")
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -272,13 +280,11 @@ def _label_sums(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _kernel(flavor: str, body: ConvexBody, t: float, dim: int, mapper,
-            cz: CZKernelSpec | None, cap: int) -> RadonKernel:
+            cz: CZKernelSpec | None) -> RadonKernel:
     """The kernel at scale 2**t whose entries sit at the images under
     ``mapper`` (an array of points to the array of their images) of the
     lattice points of the dilate."""
-    if flavor == "singular" and cz is None:
-        raise ValueError("singular flavor needs a kernel spec")
-    pts = lattice_points(body, dyadic_radius(t), cap).points
+    pts = lattice_points(body, dyadic_radius(t)).points
     if flavor == "averaging":
         images = mapper(pts)
         labels, first = _row_labels(images)
@@ -296,31 +302,28 @@ def _kernel(flavor: str, body: ConvexBody, t: float, dim: int, mapper,
                                                      _complex_list(re[keep], im[keep]))))
 
 
-def averaging_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
-                     cap: int = 10 ** 8) -> RadonKernel:
+def averaging_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet) -> RadonKernel:
     """Uniform average over the lattice points of the dilate by 2**t, pushed
     through the canonical monomial map.  Collisions accumulate mass."""
     return _kernel("averaging", body, t, len(gammas),
-                   lambda pts: monomial_images(pts, gammas.members), None, cap)
+                   lambda pts: monomial_images(pts, gammas.members), None)
 
 
 def singular_kernel(body: ConvexBody, t: float, gammas: MultiIndexSet,
-                    cz: CZKernelSpec, cap: int = 10 ** 8) -> RadonKernel:
+                    cz: CZKernelSpec) -> RadonKernel:
     """Kernel values at nonzero lattice points of the dilate, pushed through
     the canonical map; empty when the dilate contains only the origin."""
     if cz.k != body.k:
         raise ValueError("kernel and body dimensions differ")
     return _kernel("singular", body, t, len(gammas),
-                   lambda pts: monomial_images(pts, gammas.members), cz, cap)
+                   lambda pts: monomial_images(pts, gammas.members), cz)
 
 
 def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody,
                             t: float, flavor: str,
-                            cz: CZKernelSpec | None = None,
-                            cap: int = 10 ** 8) -> RadonKernel:
+                            cz: CZKernelSpec | None = None) -> RadonKernel:
     """Kernel along a general integer polynomial mapping y -> (P_1(y), ..., P_m(y))."""
-    if flavor not in ("averaging", "singular"):
-        raise ValueError("flavor must be 'averaging' or 'singular'")
+    _check_flavor(flavor, cz)
     for p in polys:
         if p.k != body.k:
             raise ValueError("polynomial arity does not match the body dimension")
@@ -334,11 +337,12 @@ def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody
     def mapper(pts):
         m = monomial_images(pts, monos)
         # every image is below max |y^gamma| * weight in magnitude
-        if m.dtype == object or int(np.abs(m).max(initial=1)) * weight >= 2 ** 62:
+        if m.dtype == object or exact_dtype(
+                int(np.abs(m).max(initial=1)) * weight) is object:
             return m.astype(object) @ coeffs
         return m @ coeffs.astype(np.int64)
 
-    return _kernel(flavor, body, t, len(polys), mapper, cz, cap)
+    return _kernel(flavor, body, t, len(polys), mapper, cz)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +350,7 @@ def radon_along_polynomials(polys: Sequence[IntegerPolynomial], body: ConvexBody
 # ---------------------------------------------------------------------------
 
 
-def apply(kernel: RadonKernel, f: LatticeFunction,
-          out_cap: int = DEFAULT_OUTPUT_CAP) -> LatticeFunction:
+def apply(kernel: RadonKernel, f: LatticeFunction) -> LatticeFunction:
     """Sparse convolution g(x) = sum_z kernel(z) f(x - z).
 
     Every product kernel(z) f(x) is formed, and added to its site's sum, in
@@ -355,8 +358,8 @@ def apply(kernel: RadonKernel, f: LatticeFunction,
     complex arithmetic; sites enter g in the order they are first reached."""
     if f.dim != kernel.dim:
         raise ValueError("kernel and function dimensions differ")
-    if len(kernel) * len(f) > out_cap:
-        raise BudgetError("sparse convolution output cap", len(kernel) * len(f), out_cap)
+    if (n := len(kernel) * len(f)) > DEFAULT_OUTPUT_CAP:
+        raise BudgetError("sparse convolution output cap", n, DEFAULT_OUTPUT_CAP)
     g = LatticeFunction(f.dim)
     if not len(kernel) or not len(f):
         return g
@@ -417,13 +420,12 @@ class JumpProfile:
 
 
 def jump_profile(family: Sequence[tuple[float, RadonKernel]], f: LatticeFunction,
-                 p: float, r_values: Sequence[float] = (2.0,),
-                 out_cap: int = DEFAULT_OUTPUT_CAP) -> JumpProfile:
+                 p: float, r_values: Sequence[float] = (2.0,)) -> JumpProfile:
     """Apply a t-increasing kernel family to f and summarize the per-site paths."""
     ts = [t for t, _ in family]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise PreconditionError("family times must be strictly increasing")
-    outputs = [apply(kern, f, out_cap) for _, kern in family]
+    outputs = [apply(kern, f) for _, kern in family]
     sites = sorted({x for g in outputs for x in g.sites()})
     values = tuple(tuple(g[x] for g in outputs) for x in sites)
     field = PathField(tuple(sites), tuple(float(t) for t in ts), values)
@@ -465,8 +467,8 @@ def _averaging_steps(labels, sizes, pair_group, starts, first, added):
     the step is N / (c (c + s)) with the integer
     N = (c - sum m) s + sum |a c - m s|, both sums over the images reached."""
     n = len(labels)
-    # a, m, c and s are below n, so N < 3 n^2 fits int64 while n < 2^30
-    dtype = np.int64 if n < 2 ** 30 else object
+    # a, m, c and s are below n, so every product, and N < 3 n^2, is below 4 n^2
+    dtype = exact_dtype(4 * n * n)
     # m: the points that share a point's image and come before it
     order = np.argsort(labels, kind="stable")
     run = np.flatnonzero(np.diff(labels[order], prepend=-1))
@@ -495,9 +497,7 @@ def _singular_steps(values, pair_of_point, first, starts):
 
 def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
                                   flavor: str, tau: float, n_max: int,
-                                  cz: CZKernelSpec | None = None,
-                                  cap: int = 10 ** 8,
-                                  fit_min_n: int = 1) -> BlockVariationReport:
+                                  cz: CZKernelSpec | None = None) -> BlockVariationReport:
     """Exact l^1 norms of the kernel 1-variation over the blocks
     t in [n^tau, (n+1)^tau], computed from the scales where the lattice set
     of the dilate actually changes.
@@ -511,12 +511,9 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
         raise PreconditionError("tau must lie in (0, 1]")
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0")
-    if flavor not in ("averaging", "singular"):
-        raise ValueError("flavor must be 'averaging' or 'singular'")
-    if flavor == "singular" and cz is None:
-        raise ValueError("singular flavor needs a kernel spec")
+    _check_flavor(flavor, cz)
 
-    groups = gauge_groups(body, dyadic_radius((n_max + 1) ** tau), cap)
+    groups = gauge_groups(body, dyadic_radius((n_max + 1) ** tau))
     sizes = np.array([len(pts) for _, pts in groups], dtype=np.int64)
     # label 0 is the origin's image, where the kernel starts
     pts = [(0,) * body.k] + [y for _, group in groups for y in group]
@@ -535,8 +532,7 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
         values = np.array([complex(cz.evaluate(y)) for y in pts[1:]], complex)
         steps = _singular_steps(values, pair_of_point, first, starts)
 
-    totals = [Fraction(0) if flavor == "averaging" else 0.0
-              for _ in range(n_max + 1)]
+    totals = [Fraction(0) if flavor == "averaging" else 0.0] * (n_max + 1)
     for (gauge, _), step in zip(groups, steps):
         # block n owns the breakpoints with n^tau <= log2(gauge) < (n+1)^tau
         lg = math.log2(gauge) if gauge > 0 else 0.0
@@ -553,8 +549,6 @@ def kernel_block_variation_report(body: ConvexBody, gammas: MultiIndexSet,
     for n in range(1, n_max + 1):
         v = float(totals[n])
         rows.append(BlockVariationRow(n, v, v / n ** (tau - 1.0)))
-    fit = [(math.log(r.n), math.log(r.value)) for r in rows
-           if r.value > 0 and r.n >= fit_min_n]
-    slope = float(np.polyfit([x for x, _ in fit], [y for _, y in fit], 1)[0]) \
-        if len(fit) >= 2 else float("nan")
+    fit = [(math.log(r.n), math.log(r.value)) for r in rows if r.value > 0]
+    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else float("nan")
     return BlockVariationReport(tau, flavor, tuple(rows), slope)

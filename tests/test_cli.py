@@ -133,6 +133,17 @@ def test_iw_build_refuses_oversized_set_at_once(tmp_path, capsys):
     assert not (tmp_path / "denominator-set.json").exists()
 
 
+def test_iw_build_refuses_oversized_partition_at_once(tmp_path, capsys):
+    # ten window primes at D = 5: about 300 separating functions times 5^5
+    # exponent patterns at k = 5, far past the pattern cap
+    start = time.perf_counter()
+    assert run(tmp_path, "iw-build", "--N", "30", "--rho", "0.4", "--partition") == 3
+    assert time.perf_counter() - start < 2.0
+    assert ("partition class patterns: needs 1003630, cap is 100000"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "denominator-partition.json").exists()
+
+
 @pytest.mark.parametrize("rho, code", [("0.3", 0), ("0.01", 3)])
 def test_iw_build_small_rho_ends_at_once(tmp_path, capsys, rho, code):
     # the small cutoff lies near 1.3e8 at rho = 0.3 and past 2^53 at 0.01

@@ -256,9 +256,10 @@ def test_product_branch_rho_three_quarters():
         prev = mset
 
 
-def test_build_member_cap_unchanged():
+def test_build_member_cap_unchanged(monkeypatch):
+    monkeypatch.setattr(dn, "DEFAULT_MEMBER_CAP", 100_000)
     with pytest.raises(BudgetError):
-        build_denominator_set(200, 1.0, member_cap=100_000)
+        build_denominator_set(200, 1.0)
 
 
 # -- the witness view ----------------------------------------------------------------
@@ -326,6 +327,28 @@ def test_denominator_json_equals_json_dumps(N, rho):
     ds = build_denominator_set(N, rho)
     assert ds.to_json() == denominator_json_oracle(ds)
     assert DenominatorSet.from_json(ds.to_json()).to_json() == ds.to_json()
+
+
+@pytest.mark.parametrize("N, rho, branch", [
+    (10, 1.0, "small"),
+    (40, 1.0, "product"),
+    (46, 1.95, "product"),     # Python-integer members
+])
+def test_denominator_set_json_round_trip_is_equal(N, rho, branch):
+    ds = build_denominator_set(N, rho)
+    back = DenominatorSet.from_json(ds.to_json())
+    assert ds.branch == branch
+    assert back == ds
+    assert repr(back) == repr(ds)
+
+
+def test_denominator_set_from_json_refuses_a_foreign_product_set():
+    obj = json.loads(build_denominator_set(40, 1.0).to_json())
+    for key, value in (("Q0", str(2 * int(obj["Q0"]))),
+                       ("members", obj["members"][:-1]),
+                       ("smooth", obj["smooth"][1:])):
+        with pytest.raises(ValueError):
+            DenominatorSet.from_json(json.dumps({**obj, key: value}))
 
 
 def test_partition_json_equals_json_dumps():
@@ -442,13 +465,15 @@ def test_exhaustive_audit_across_chunk_boundaries(n, k, monkeypatch):
             assert surjection_family(V, k, seed) == surjection_oracle(V, k, seed)
 
 
-def test_sampled_audit_consumes_the_same_draws():
+def test_sampled_audit_consumes_the_same_draws(monkeypatch):
     # audit_cap = 1 forces the sampled audit; in these windows about one
     # family in ten fails it, and the family drawn next must come from the
     # generator state the oracle's audit leaves
+    monkeypatch.setattr(dn, "_AUDIT_CAP", 1)
+    monkeypatch.setattr(dn, "_AUDIT_SAMPLES", 64)
     for V in ([2, 3, 5], [2, 3, 5, 7]):
         for seed in range(40):
-            assert (surjection_family(V, 2, seed, audit_cap=1, audit_samples=64)
+            assert (surjection_family(V, 2, seed)
                     == surjection_oracle(V, 2, seed, audit_cap=1, audit_samples=64))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from radonlab import (FrequencyVector, MultiIndexSet, PreconditionError,
                       anisotropic_dilate, canonical_map, full_degree_set, quasi_norm)
-from radonlab.multiindex import integer_rows, monomial_images
+from radonlab.multiindex import exact_dtype, integer_rows, monomial_images
 
 
 def test_canonical_map_monomials():
@@ -159,3 +159,14 @@ def test_non_integer_array_is_refused():
         integer_rows(np.array([[1.0, 2.0]]), 2)
     # numpy integers are integers, and come back as exact images
     assert monomial_images(np.array([[3], [-4]]), [(1,), (2,)]).tolist() == [[3, 9], [-4, 16]]
+
+
+def test_exact_dtype_boundary():
+    assert exact_dtype(0) is np.int64
+    assert exact_dtype(2 ** 62 - 1) is np.int64
+    assert exact_dtype(2 ** 62) is object
+    # integer_rows bounds the magnitude of every coordinate
+    for c in (2 ** 62 - 1, -2 ** 62 + 1):
+        assert integer_rows([(c,)], 1).dtype == np.int64
+    for c in (2 ** 62, -2 ** 62):
+        assert integer_rows([(c,)], 1).dtype == object

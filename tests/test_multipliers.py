@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import radonlab.multipliers as mp
 from radonlab import (OscillationBudgetError,
                       PreconditionError, RationalPoint, box_average_multiplier,
                       box_neighborhood_report, continuous_symbol, cz_inverse,
@@ -101,10 +102,10 @@ def test_symbol_modulus_bounded():
         assert abs(ev.value) <= 1 + 1e-9
 
 
-def test_symbol_oscillation_budget():
+def test_symbol_oscillation_budget(monkeypatch):
+    monkeypatch.setattr(mp, "DEFAULT_OSCILLATION_BUDGET", 100.0)
     with pytest.raises(OscillationBudgetError):
-        continuous_symbol("averaging", IV, 20.0, G1, [0.5],
-                          oscillation_budget=100.0)
+        continuous_symbol("averaging", IV, 20.0, G1, [0.5])
 
 
 def test_singular_symbol_zero_at_zero():
