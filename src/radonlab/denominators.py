@@ -510,43 +510,38 @@ class CoprimePowerPart:
                 raise AssertionError(f"{m} misses a factor slot")
 
 
-def _factor_keys(codes: np.ndarray, base: int) -> np.ndarray:
-    """The key of each row of prime-power codes: its codes in increasing order,
-    as the digits of a number in base ``base``."""
-    codes = np.sort(codes, axis=1)
-    place = np.array([base ** j for j in range(codes.shape[1])], codes.dtype)
-    return (codes * place).sum(axis=1)
-
-
-def _power_products(V: Sequence[int], D: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_products(V: Sequence[int], D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """1 and every product of 1..D distinct primes of V at exponents 1..D, in
-    increasing order, with the factorization key of each.
+    increasing order, with the factorization of each.
 
     The products are int64 while the largest is below 2^62 and Python integers
-    (object dtype) above.  The prime power V[i]^e has the code D*i + e, and a
-    product the ``_factor_keys`` key of its codes, in base D*len(V) + 1:
-    distinct products have distinct keys, which stay small integers however
-    large the products grow.
+    (object dtype) above.  Row i of the other two arrays factors product i as
+    the product of V[primes[i, c]] ** exponents[i, c] over the columns c: its
+    primes in increasing order in the leading columns, exponent 0 after them,
+    both in the least unsigned dtype that holds them.
     """
     est = sum(math.comb(len(V), k) * D ** k for k in range(1, D + 1)) + 1
     if est > DEFAULT_PRODUCT_CAP:
         raise BudgetError("power product enumeration cap", est, DEFAULT_PRODUCT_CAP)
     V = sorted(V)
     n, k_max = len(V), min(D, len(V))
-    base = D * n + 1
     powers = np.array([[p ** e for e in range(1, D + 1)] for p in V],
                       exact_dtype(math.prod(V[-D:]) ** D if V else 1)).reshape(n, D)
-    codes = np.array(range(1, D * n + 1), exact_dtype(base ** k_max)).reshape(n, D)
-    values, keys = [np.ones(1, powers.dtype)], [np.zeros(1, codes.dtype)]
+    values = [np.ones(1, powers.dtype)]
+    primes = [np.zeros((1, k_max), np.min_scalar_type(n))]
+    exponents = [np.zeros((1, k_max), np.min_scalar_type(D))]
     for k in range(1, k_max + 1):
         combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
                              np.intp).reshape(-1, k)
+        padded = np.pad(combos, ((0, 0), (0, k_max - k))).astype(primes[0].dtype)
         for exps in product(range(D), repeat=k):
             values.append(np.multiply.reduce(powers[combos, exps], axis=1))
-            keys.append(_factor_keys(codes[combos, exps], base))
-    values, keys = np.concatenate(values), np.concatenate(keys)
+            primes.append(padded)
+            row = np.array([e + 1 for e in exps] + [0] * (k_max - k), exponents[0].dtype)
+            exponents.append(np.broadcast_to(row, padded.shape))
+    values = np.concatenate(values)
     order = np.argsort(values)
-    return values[order], keys[order]
+    return values[order], np.concatenate(primes)[order], np.concatenate(exponents)[order]
 
 
 def enumerate_power_products(V: Sequence[int], D: int) -> list[int]:
@@ -596,60 +591,45 @@ def partition_coprime_products(N: int, rho: float, seed: int = 2024) -> Partitio
     functions V -> {1..k} splits the primes into slots; each slot pattern of
     exponents gives one class.  The resulting cover is canonicalized into a
     partition by first-class-wins assignment (subsets keep the witness): a
-    bitmap over the sorted universe of admissible products marks what earlier
-    classes took, and a class finds its products there by their
-    factorization keys.  The class count is O(log N) for fixed rho; the
-    (function, exponent pattern) pairs to try are counted before any product.
+    product of k distinct primes goes to the first function that puts them in
+    distinct slots, under the pattern of their exponents, so each function
+    only looks at the k-prime products no earlier one claimed.  The class
+    count is O(log N) for fixed rho; the (function, exponent pattern) pairs,
+    which bound it, are counted before any product.
     """
     if N < 2:
         raise PreconditionError("N must be >= 2")
     cfg = DenominatorConfig.for_rho(rho)
     V = prime_window(N, rho)
-    needed = sum(_family_size(len(V), k) * cfg.D ** k
-                 for k in range(1, min(cfg.D, len(V)) + 1))
+    ks = range(1, min(cfg.D, len(V)) + 1)
+    needed = sum(_family_size(len(V), k) * cfg.D ** k for k in ks)
     if needed > PARTITION_PATTERN_CAP:
         raise BudgetError("partition class patterns", needed, PARTITION_PATTERN_CAP)
-    universe, keys = _power_products(V, cfg.D)
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    base = cfg.D * len(V) + 1
-    code = {p: cfg.D * i for i, p in enumerate(V)}    # p^e has the code code[p] + e
-    taken = np.zeros(len(universe), bool)
-    outside = False       # a class product missing from the universe
-    parts: list[CoprimePowerPart] = []
-
+    universe, primes, exps = _power_products(V, cfg.D)
+    count = np.count_nonzero(exps, axis=1)          # distinct primes per product
     # the k = 0 class: just {1}, the least product
-    parts.append(CoprimePowerPart(0, (), (1,)))
-    taken[0] = True
+    parts, missing = [CoprimePowerPart(0, (), (1,))], []
 
-    for k in range(1, cfg.D + 1):
-        if len(V) < k:
-            break
-        fams = surjection_family(V, k, seed=seed + k)
-        for f in fams:
-            slots = [sorted(p for p in V if f[p] == j + 1) for j in range(k)]
-            if any(not s for s in slots):
-                continue
-            for exps in product(range(1, cfg.D + 1), repeat=k):
-                factors = tuple(frozenset(p ** exps[j] for p in slots[j])
-                                for j in range(k))
-                # the keys of the products of one prime power from each slot
-                grid = np.meshgrid(*[np.array([code[p] + e for p in slot], keys.dtype)
-                                     for slot, e in zip(slots, exps)], indexing="ij")
-                wanted = _factor_keys(np.stack(grid, -1).reshape(-1, k), base)
-                at = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
-                found = sorted_keys[at] == wanted
-                outside = outside or not found.all()
-                at = by_key[at[found]]
-                at = np.unique(at[~taken[at]])
-                if not len(at):
-                    continue
-                taken[at] = True
-                parts.append(CoprimePowerPart(k, factors, tuple(universe[at].tolist())))
+    for k in ks:
+        left = np.flatnonzero(count == k)           # k-prime products, unclaimed
+        for f in surjection_family(V, k, seed=seed + k):
+            bit = np.array([1 << (f[p] - 1) for p in V], np.min_scalar_type(1 << k))
+            mine = np.bitwise_or.reduce(bit[primes[left, :k]], axis=1) == (1 << k) - 1
+            at, left = left[mine], left[~mine]
+            # the exponent in slot j is the base-D digit of weight D^(k-1-j)
+            weight = np.array([cfg.D ** (k - f[p]) for p in V])
+            code = ((exps[at, :k] - 1) * weight[primes[at, :k]]).sum(axis=1)
+            order = np.argsort(code, kind="stable")
+            pats, starts = np.unique(code[order], return_index=True)
+            slots = [[p for p in V if f[p] == j + 1] for j in range(k)]
+            for pat, members in zip(pats, np.split(at[order], starts[1:])):
+                factors = tuple(frozenset(p ** int(e + 1) for p in s)
+                                for s, e in zip(slots, np.unravel_index(pat, (cfg.D,) * k)))
+                parts.append(CoprimePowerPart(k, factors, tuple(universe[members].tolist())))
+        missing += universe[left].tolist()
 
-    if outside or not taken.all():
-        missing = universe[~taken][:5].tolist()
-        raise AssertionError(f"cover failed to reach a partition; missing {missing}")
+    if missing:
+        raise AssertionError(f"cover failed to reach a partition; missing {sorted(missing)[:5]}")
     return PartitionResult(N, rho, cfg.D, tuple(parts), len(universe))
 
 

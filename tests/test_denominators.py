@@ -199,6 +199,21 @@ def test_partition_is_exact_cover():
     assert set(seen) == set(universe)
 
 
+def test_partition_memory_is_bounded():
+    # products carry their prime indices and exponents in byte-sized columns
+    # (a 17.6 MiB peak with one int64 factorization key per product)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = partition_coprime_products(150, 0.75)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.universe_size == 138_481
+    assert peak <= 20e6
+
+
 def test_partition_witnesses_validate():
     res = partition_coprime_products(64, 1.0)
     for part in res.parts:

@@ -411,14 +411,15 @@ def test_power_products_equal_oracle(N, rho):
 
 
 def test_power_products_pass_int64():
-    # rho = 0.75 at N >= 150: the largest products exceed 2^63, their keys do not
+    # rho = 0.75 at N >= 150: the largest products exceed 2^63
     V = prime_window(150, 0.75)
     assert math.prod(V[-3:]) ** 3 >= 2 ** 63
-    values, keys = dn._power_products(V, 3)
-    assert values.dtype == object and keys.dtype == np.int64
-    assert len(np.unique(keys)) == len(keys)
-    values, keys = dn._power_products(prime_window(149, 1.0), 2)
-    assert values.dtype == np.int64 and keys.dtype == np.int64
+    for V, D, dtype in ((V, 3, object), (prime_window(149, 1.0), 2, np.int64)):
+        values, primes, exps = dn._power_products(V, D)
+        assert values.dtype == dtype
+        # each row's prime indices and exponents multiply back to its product
+        assert [math.prod(V[i] ** e for i, e in zip(*row))
+                for row in zip(primes.tolist(), exps.tolist())] == values.tolist()
 
 
 def test_power_product_cap_unchanged():
@@ -438,9 +439,13 @@ def test_power_product_cap_unchanged():
 @example(1024, 1.0, 2024)
 @example(150, 0.75, 2024)
 @example(64, 1.0, 7)
+@example(12, 0.4, 2024)       # D = 5
+@example(40, 0.6, 2024)       # D = 4
+@example(20, 0.5, 5)
 def test_partition_equals_oracle(N, rho, seed):
-    assert (partition_coprime_products(N, rho, seed).to_json()
-            == partition_json_oracle(partition_oracle(N, rho, seed)))
+    got, want = partition_coprime_products(N, rho, seed), partition_oracle(N, rho, seed)
+    assert got.to_json() == partition_json_oracle(want)
+    assert repr(got) == repr(want)
 
 
 # -- separation audit ---------------------------------------------------------------

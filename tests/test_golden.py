@@ -1,4 +1,4 @@
-"""Golden outputs: the six demos' stdout and the data artifacts of three
+"""Golden outputs: the six demos' stdout and the data artifacts of five
 ``iw-build`` runs must stay byte for byte what ``tests/golden`` records.
 
 The CLI runs in-process from a temporary working directory with a relative
@@ -24,7 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 IW_BUILDS = {
+    "N150-rho0.75-partition": ["--N", "150", "--rho", "0.75", "--partition"],
     "N150-rho1-partition": ["--N", "150", "--rho", "1.0", "--partition"],
+    "N20-rho0.6-partition": ["--N", "20", "--rho", "0.6", "--partition"],
     "N240-rho0.75": ["--N", "240", "--rho", "0.75"],
     "N64-rho1-partition": ["--N", "64", "--rho", "1.0", "--partition"],
 }
