@@ -173,12 +173,13 @@ def _read_path_field(path: str) -> PathField:
 def cmd_jumps(ns: argparse.Namespace) -> int:
     field = _read_path_field(ns.input)
     jn = jump_seminorm(field, ns.p)
+    v_r = [r_variation(row, ns.r) for row in field.values]
     path = _out_path(ns, "jumps.csv")
     with open(path, "w") as fh:
         fh.write(f"# config_hash={_config_hash(ns)} seed={ns.seed}\n")
         fh.write("site,v_r\n")
-        for site, row in zip(field.sites, field.values):
-            fh.write(f"{' '.join(str(c) for c in site)},{_fmt(r_variation(row, ns.r))}\n")
+        for site, v in zip(field.sites, v_r):
+            fh.write(f"{' '.join(str(c) for c in site)},{_fmt(v)}\n")
         fh.write(f"# jump_seminorm_p{ns.p}={_fmt(jn)}\n")
     _write_manifest(ns, "jumps", [path])
     return EXIT_OK

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .lattice import ConvexBody, lattice_points
+from .lattice import ConvexBody, _point_array
 from .multiindex import MultiIndexSet, degree, exact_dtype
 
 DEFAULT_SUMMAND_CAP = 10 ** 9
@@ -317,12 +317,12 @@ def gauss_decay_scan(gammas: MultiIndexSet, k: int, q_max: int) -> GaussScanResu
 def weyl_sum(poly: IntegerPolynomial, body: ConvexBody, N: float,
              phi: Callable[[tuple[int, ...]], complex] | None = None) -> complex:
     """Sum of e(P(n)) phi(n) over the lattice points of the dilate by N."""
-    pts = lattice_points(body, N, DEFAULT_SUMMAND_CAP)
+    pts = _point_array(body, N, DEFAULT_SUMMAND_CAP)[0]
     rp = RationalPoint.from_fractions([c for _, c in poly.coeffs])
-    v = unit_phases(phase_numerators(pts.points, [g for g, _ in poly.coeffs],
+    v = unit_phases(phase_numerators(pts, [g for g, _ in poly.coeffs],
                                      rp.numerators, rp.q), rp.q)
     if phi is not None:
-        v = [p * phi(n) for p, n in zip(v.tolist(), pts)]
+        v = [p * phi(n) for p, n in zip(v.tolist(), map(tuple, pts.tolist()))]
     return complex(running_sums(v)[-1])
 
 

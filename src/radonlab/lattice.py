@@ -36,7 +36,6 @@ from .errors import BudgetError, PreconditionError
 from .multiindex import exact_dtype
 
 DEFAULT_POINT_CAP = 10 ** 8
-_AUDIT_DIRECTIONS, _AUDIT_SEED = 64, 7     # audit_inclusion's sphere samples
 
 
 def dyadic_radius(t: float) -> float:
@@ -76,9 +75,6 @@ class ConvexBody:
 
     # -- float geometry ----------------------------------------------------
 
-    def float_gauge(self, x: Sequence[float]) -> float:
-        raise NotImplementedError
-
     def boundary_distance(self, x: Sequence[float], t: float) -> float:
         """Euclidean distance from ``x`` to the boundary of the dilate by ``t``."""
         raise NotImplementedError
@@ -103,14 +99,11 @@ class ConvexBody:
             return 0
         return _strict_int_below(Fraction(t) ** 2 * self._weights[0]) + 1
 
-    def _scan(self, t: float, cap: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Lattice points of the open dilate by ``t`` in lexicographic order,
-        with their forms."""
+    def _mask(self, t: float, cap: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The box of the dilate by ``t``: axis radii, cell forms, inside mask."""
         B = self._bound(t)
-        if B <= 0:
-            return [], np.zeros(0, dtype=np.int64)
         w = self._weights[1]
-        radii = [math.isqrt((B - 1) // wi) for wi in w]
+        radii = [math.isqrt(max(B - 1, 0) // wi) for wi in w]
         cells = math.prod(2 * r + 1 for r in radii)
         if cells > cap:
             raise BudgetError("lattice point cap", cells, cap)
@@ -121,7 +114,12 @@ class ConvexBody:
         for wi, r in zip(w, radii):
             y = np.arange(-r, r + 1, dtype=dtype)
             form = self._combine.outer(form, wi * y * y)
-        inside = form < B
+        return radii, form, form < B
+
+    def _scan(self, t: float, cap: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Lattice points of the open dilate by ``t`` in lexicographic order,
+        with their forms."""
+        radii, form, inside = self._mask(t, cap)
         box = product(*(range(-r, r + 1) for r in radii))
         return list(compress(box, inside.ravel().tolist())), form[inside]
 
@@ -147,9 +145,6 @@ class EuclideanBall(ConvexBody):
         s = sum(int(c) * int(c) for c in y)
         r = Fraction(self.radius)
         return Fraction(s) / (r * r)
-
-    def float_gauge(self, x) -> float:
-        return math.sqrt(sum(c * c for c in x)) / self.radius
 
     def boundary_distance(self, x, t: float) -> float:
         return abs(math.sqrt(sum(c * c for c in x)) - t * self.radius)
@@ -181,9 +176,6 @@ class Cube(ConvexBody):
         m = max(abs(int(c)) for c in y)
         h = Fraction(self.halfside)
         return Fraction(m * m) / (h * h)
-
-    def float_gauge(self, x) -> float:
-        return max(abs(c) for c in x) / self.halfside
 
     def boundary_distance(self, x, t: float) -> float:
         s = t * self.halfside
@@ -220,9 +212,6 @@ class DiagonalEllipsoid(ConvexBody):
             af = Fraction(a)
             total += Fraction(int(c) * int(c)) / (af * af)
         return total
-
-    def float_gauge(self, x) -> float:
-        return math.sqrt(sum((c / a) ** 2 for c, a in zip(x, self.semiaxes)))
 
     def boundary_distance(self, x, t: float) -> float:
         axes = [t * a for a in self.semiaxes]
@@ -334,6 +323,15 @@ def lattice_points(body: ConvexBody, t: float, cap: int = DEFAULT_POINT_CAP) -> 
     return LatticePointSet(body, t, tuple(body._scan(t, cap)[0]))
 
 
+def _point_array(body: ConvexBody, t: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lattice_points(body, t, cap)`` as an (n, k) int64 array, with the forms:
+    ``np.argwhere`` walks the scan's box in the same lexicographic order."""
+    if t < 1:       # the origin alone; lattice_points refuses t < 0
+        return np.array(lattice_points(body, t, cap).points), np.zeros(1, np.int64)
+    radii, form, inside = body._mask(t, cap)
+    return np.argwhere(inside) - radii, form[inside]
+
+
 def annulus_points(body: ConvexBody, t1: float, t2: float) -> LatticePointSet:
     """Lattice points of the dilate by ``t2`` that are not in the dilate by ``t1``.
 
@@ -376,21 +374,3 @@ def gauge_groups(body: ConvexBody,
     # int / int rounds correctly, so f / D == float(Fraction(f, D))
     return [(math.sqrt(f / D), groups[f]) for f in sorted(groups)]
 
-
-def audit_inclusion(body: ConvexBody) -> bool:
-    """Sample sphere directions to confirm B(0, c) <= body <= B(0, 1)."""
-    import random
-
-    rng = random.Random(_AUDIT_SEED)
-    c = body.inner_radius * (1 - 1e-9)
-    for _ in range(_AUDIT_DIRECTIONS):
-        u = [rng.gauss(0, 1) for _ in range(body.k)]
-        n = math.sqrt(sum(x * x for x in u)) or 1.0
-        u = [x / n for x in u]
-        inside = [c * x for x in u]
-        if body.float_gauge(inside) >= 1:
-            return False
-        outside = [(1 + 1e-9) * x for x in u]
-        if body.float_gauge(outside) < 1 and math.sqrt(sum(x * x for x in outside)) > 1:
-            return False
-    return True

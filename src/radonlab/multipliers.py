@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (BudgetError, NonconvergenceError, OscillationBudgetError,
                      PreconditionError)
-from .lattice import ConvexBody, EuclideanBall, Cube, dyadic_radius, lattice_points
+from .lattice import (DEFAULT_POINT_CAP, ConvexBody, EuclideanBall, Cube, _point_array,
+                      dyadic_radius)
 from .multiindex import (FrequencyVector, MultiIndexSet, canonical_map, degree,
                          quasi_norm)
 from .expsums import (RationalPoint, gauss_sum, phase_numerators, running_sums,
@@ -91,13 +92,26 @@ def discrete_multiplier(flavor: str, body: ConvexBody, t: float,
     Equals the exponential sum over the dilate's lattice points, normalized
     for the averaging flavor and kernel-weighted for the singular flavor.
     """
+    return _multipliers(flavor, body, [t], gammas, xi, cz)[0]
+
+
+def _multipliers(flavor: str, body: ConvexBody, ts: Sequence[float],
+                 gammas: MultiIndexSet, xi, cz: CZKernelSpec | None) -> list[complex]:
+    """``discrete_multiplier`` at each t of ``ts`` from one scan at the largest:
+    the dilate by 2**t is the mask form < B(2**t) of that scan, so it keeps its
+    lexicographic order, and each value sums the same terms in the same order."""
     _check_flavor(flavor, cz)
-    pts = lattice_points(body, dyadic_radius(t)).points
-    ph = _phases(*_xi_entries(xi, gammas), gammas, pts)
-    if flavor == "averaging":
-        return complex(running_sums(ph)[-1]) / len(pts)
-    return complex(running_sums([p * complex(cz.evaluate(y))
-                                 for p, y in zip(ph.tolist(), pts) if any(y)])[-1])
+    pts, form = _point_array(body, dyadic_radius(max(ts)), DEFAULT_POINT_CAP)
+    terms = _phases(*_xi_entries(xi, gammas), gammas, pts)
+    if flavor == "singular":    # kernel-weighted, off the origin (the one point of form 0)
+        nz = form != 0
+        terms = np.array([p * complex(cz.evaluate(tuple(y)))
+                          for p, y in zip(terms[nz].tolist(), pts[nz].tolist())], complex)
+        form = form[nz]
+    masks = [form < body._bound(dyadic_radius(t)) for t in ts]
+    sums = [complex(running_sums(terms[m])[-1]) for m in masks]
+    return sums if flavor == "singular" else [s / int(np.count_nonzero(m))
+                                              for s, m in zip(sums, masks)]
 
 
 def _halfwidth(body: ConvexBody) -> Fraction:
@@ -119,6 +133,13 @@ def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
     list returned here realizes the exact supremum over the closed interval.
     Entries are (outermost point j, multiplier value).
     """
+    j_lo, values = _profile(flavor, body, gammas, xi, t_lo, t_hi, cz)
+    return list(zip(range(j_lo, j_lo + len(values)), values.tolist()))
+
+
+def _profile(flavor: str, body: ConvexBody, gammas: MultiIndexSet, xi, t_lo: float,
+             t_hi: float, cz: CZKernelSpec | None) -> tuple[int, np.ndarray]:
+    """The breakpoint profile as its first j and the array of its values."""
     if gammas.k != 1:
         raise ValueError("breakpoint profile implemented for k = 1")
     w = _halfwidth(body)
@@ -132,14 +153,17 @@ def multiplier_breakpoint_profile(flavor: str, body: ConvexBody,
         raise BudgetError("breakpoint profile cap", 2 * j_hi + 1, BREAKPOINT_CAP)
     _check_flavor(flavor, cz)
     # 0, 1, -1, 2, -2, ...: the order in which the sums take the points
-    ys = [(s * j,) for j in range(1, j_hi + 1) for s in (1, -1)]
-    ph = _phases(*_xi_entries(xi, gammas), gammas, [(0,)] + ys)
+    ys = (np.arange(1, 2 * j_hi + 2) // 2 * np.resize([-1, 1], 2 * j_hi + 1))[:, None]
+    ph = _phases(*_xi_entries(xi, gammas), gammas, ys)
     if flavor == "averaging":
         # S_0 = e(0) and S_j = S_{j-1} + (e(+j) + e(-j))
-        S = running_sums(np.concatenate((ph[:1], ph[1::2] + ph[2::2])))[1:].tolist()
-        return [(j, S[j] / (2 * j + 1)) for j in range(j_lo, j_hi + 1)]
-    S = running_sums([p * complex(cz.evaluate(y)) for p, y in zip(ph[1:].tolist(), ys)])
-    return [(j, complex(S[2 * j])) for j in range(j_lo, j_hi + 1)]
+        S = running_sums(np.concatenate((ph[:1], ph[1::2] + ph[2::2])))[1 + j_lo:]
+        # parts divided apart, which is Python's S_j / (2j + 1): no part of S_j is -0.0
+        n = 2.0 * np.arange(j_lo, j_hi + 1) + 1
+        return j_lo, (S.view(np.float64).reshape(-1, 2) / n[:, None]).view(complex).ravel()
+    S = running_sums([p * complex(cz.evaluate((y,)))
+                      for p, y in zip(ph[1:].tolist(), ys[1:, 0].tolist())])
+    return j_lo, S[2 * j_lo:2 * j_hi + 1:2]
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +343,15 @@ def major_arc_error(flavor: str, body: ConvexBody, gammas: MultiIndexSet,
                for f, v in zip(a_fr, theta))
 
     if theta_zero and body.k == 1:
-        prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1, cz=cz)
+        ms = _profile(flavor, body, gammas, xi, N, N + 1, cz)[1]
         if flavor == "averaging":
-            sup = max(abs(m - G) for _, m in prof)
+            d = ms - G      # np.hypot is the hypot of Python's abs(complex)
+            sup = float(np.max(np.hypot(d.real, d.imag)))
         else:
-            sup = _set_diameter(np.array([m for _, m in prof]))
+            sup = _set_diameter(ms)
     else:
         tg = [N + s for s in _T_GRID]
-        ms = [discrete_multiplier(flavor, body, t, gammas, xi, cz=cz) for t in tg]
+        ms = _multipliers(flavor, body, tg, gammas, xi, cz)
         phis = [continuous_symbol(flavor, body, t, gammas, theta, cz=cz).value
                 for t in tg]
         if flavor == "averaging":
@@ -385,12 +410,10 @@ def multiplier_increment_report(flavor: str, body: ConvexBody,
     if abs(xi0 - Fraction(a, q)) > Fraction(1, q * q):
         raise PreconditionError("xi_gamma0 is not within 1/q^2 of a/q")
     if body.k == 1:
-        prof = multiplier_breakpoint_profile(flavor, body, gammas, xi, N, N + 1, cz=cz)
-        pts = np.array([m for _, m in prof])
+        ms = _profile(flavor, body, gammas, xi, N, N + 1, cz)[1]
     else:
-        pts = np.array([discrete_multiplier(flavor, body, N + s, gammas, xi, cz=cz)
-                        for s in _T_GRID])
-    sup = _set_diameter(pts)
+        ms = np.array(_multipliers(flavor, body, [N + s for s in _T_GRID], gammas, xi, cz))
+    sup = _set_diameter(ms)
     rows = tuple((float(al), sup * N ** float(al)) for al in alphas)
     return IncrementReport(flavor, N, gamma0, a, q, beta_max, sup, rows)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import PreconditionError
+
 
 @dataclass(frozen=True)
 class SampledPath:
@@ -67,7 +69,7 @@ def jump_count(path, lam: float) -> int:
     not optimal here (start values can be outliers), so the O(n^2) chain DP is
     used; it matches brute-force enumeration exactly.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     v = _values_of(path)
     n = len(v)
@@ -90,7 +92,7 @@ def r_variation(path, r: float) -> float:
     r = inf gives the largest single move.  For finite r the optimum is a
     maximum-weight path in the pair DAG with edge weights |f(t_j)-f(t_i)|^r.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     v = _values_of(path)
     n = len(v)
@@ -106,16 +108,19 @@ def r_variation(path, r: float) -> float:
         return out
     best = [0.0] * n
     out = 0.0
-    for j in range(1, n):
-        bj = 0.0
-        for i in range(j):
-            w = best[i] + abs(v[j] - v[i]) ** r
-            if w > bj:
-                bj = w
-        best[j] = bj
-        if bj > out:
-            out = bj
-    return out ** (1.0 / r)
+    try:
+        for j in range(1, n):
+            bj = 0.0
+            for i in range(j):
+                w = best[i] + abs(v[j] - v[i]) ** r
+                if w > bj:
+                    bj = w
+            best[j] = bj
+            if bj > out:
+                out = bj
+        return out ** (1.0 / r)
+    except OverflowError:
+        raise PreconditionError(f"a power of a move overflows a float at r = {r}") from None
 
 
 def _candidate_thresholds(field: PathField) -> list[float]:
@@ -143,14 +148,17 @@ def jump_seminorm(field: PathField, p: float) -> float:
     if not cands:
         return 0.0
     best = 0.0
-    for lam in cands:
-        total = 0.0
-        for row in field.values:
-            n_lam = jump_count(row, lam)
-            if n_lam:
-                total += n_lam ** (p / 2.0)
-        if total > 0:
-            best = max(best, lam * total ** (1.0 / p))
+    try:
+        for lam in cands:
+            total = 0.0
+            for row in field.values:
+                n_lam = jump_count(row, lam)
+                if n_lam:
+                    total += n_lam ** (p / 2.0)
+            if total > 0:
+                best = max(best, lam * total ** (1.0 / p))
+    except OverflowError:
+        raise PreconditionError(f"a power of a jump count overflows a float at p = {p}") from None
     return best
 
 

@@ -100,15 +100,20 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     ["major-arc", "--q", "3", "--a", "1", "1", "--N", "4", "--theta", "1/0"],
     ["major-arc", "--q", "3", "--a", "1", "1", "--N", "2000"],   # 2.0 ** N overflows
     ["major-arc", "--q", "3", "--a", "1", "1", "--N", "-1"],     # scale below 1
+    ["jumps", "--r", "nan"],            # r <= 0 is false for nan
+    ["jumps", "--p", "1e308"],          # 2 ** (p / 2) overflows a float
+    ["jumps", "--r", "1e308"],          # 2 ** r overflows a float
 ])
 def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args):
     delta = tmp_path / "delta.txt"
     delta.write_text("0 0 1.0 0.0\n")
-    if args[0] == "radon-apply":
-        args = args + ["--input", str(delta)]
+    field = tmp_path / "field.txt"
+    field.write_text("times 1 2 3\n0 0 0 2 0 0 0\n")
+    if args[0] in ("radon-apply", "jumps"):
+        args = args + ["--input", str(delta if args[0] == "radon-apply" else field)]
     assert run(tmp_path, *args) == 2
     assert "Traceback" not in capsys.readouterr().err
-    assert not list(tmp_path.glob("*-manifest.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["delta.txt", "field.txt"]
 
 
 def test_gauss_scan_total_work_is_capped(tmp_path, capsys):

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import radonlab.denominators as dn
@@ -29,6 +29,11 @@ from radonlab import (BudgetError, DenominatorConfig, build_denominator_set,
 from radonlab.denominators import (CoprimePowerPart, DenominatorSet,
                                    PartitionResult, _top_prime_powers)
 from radonlab.expsums import factorize
+
+# no shrink phase: each shrink step would rerun a pure-Python oracle that takes
+# up to a second, so a failure took minutes to report; the failing example is
+# reported as generated
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 # -- oracles: the former library loops -----------------------------------------------
 
@@ -211,7 +216,7 @@ def outcome(check, *args):
 # -- denominator sets --------------------------------------------------------------
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(st.integers(1, 260), st.sampled_from([0.75, 1.0]))
 @example(200, 1.0)
 @example(202, 0.75)
@@ -273,7 +278,7 @@ def _lookup(mapping, key):
         return type(exc)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(st.one_of(st.tuples(st.integers(1, 240), st.sampled_from([0.75, 1.0])),
                  # Python-integer members from N = 46 on; above it the cap
                  st.tuples(st.integers(1, 46), st.just(1.95))),
@@ -397,7 +402,7 @@ def test_small_cutoff_past_two_to_the_53_is_refused(rho):
 # -- power products -----------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(st.integers(2, 200), st.sampled_from([0.75, 1.0]))
 @example(150, 0.75)
 @example(200, 0.75)
@@ -433,7 +438,7 @@ def test_power_product_cap_unchanged():
 # -- partitions ---------------------------------------------------------------------
 
 
-@settings(max_examples=6, deadline=None,
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(2, 150), st.sampled_from([0.75, 1.0]), st.integers(0, 2 ** 20))
 @example(1024, 1.0, 2024)

