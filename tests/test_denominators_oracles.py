@@ -30,9 +30,8 @@ from radonlab.denominators import (CoprimePowerPart, DenominatorSet,
                                    PartitionResult, _top_prime_powers)
 from radonlab.expsums import factorize
 
-# no shrink phase: each shrink step would rerun a pure-Python oracle that takes
-# up to a second, so a failure took minutes to report; the failing example is
-# reported as generated
+# no shrink phase: each shrink step reruns a pure-Python oracle of up to a
+# second, so shrinking a failure takes minutes; it is reported as generated
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 # -- oracles: the former library loops -----------------------------------------------
